@@ -484,12 +484,8 @@ fn main() {
     }
 
     if wants(&args.figure, "lookup") {
-        println!("## Directory lookup — slot array vs linear scan");
-        println!();
         let counts: &[usize] = &[16, 256, 4096];
         let mut lookup_rows = directory_lookup_study(counts);
-        println!("## Deferred secondary rebuild — install cost off the commit path (DynaHash, 4 -> 3 nodes)");
-        println!();
         let deferred_rows = deferred_install_study(&cfg);
         let mut violations = lookup_gate_violations(&lookup_rows, &deferred_rows);
         // The lookup arm is wall-clock; like the routing overhead gate it is
@@ -506,7 +502,11 @@ fn main() {
             lookup_rows = directory_lookup_study(counts);
             violations = lookup_gate_violations(&lookup_rows, &deferred_rows);
         }
+        println!("## Directory lookup — slot array vs linear scan");
+        println!();
         println!("{}", format_lookup(&lookup_rows));
+        println!("## Deferred secondary rebuild — install cost off the commit path (DynaHash, 4 -> 3 nodes)");
+        println!();
         println!("{}", format_deferred_install(&deferred_rows));
         figures.push_field("lookup", lookup_json(&lookup_rows));
         figures.push_field("deferred_install", deferred_install_json(&deferred_rows));

@@ -1090,7 +1090,7 @@ impl<'a> Runner<'a> {
                         .admin()
                         .repair_dataset(id, &feed)
                         .map_err(|e| format!("{when}: repair of dataset {id}: {e}"))?;
-                    if report.is_noop() {
+                    if report.is_none() {
                         return Err(format!(
                             "{when}: repair of degraded dataset {id} was a no-op"
                         ));
@@ -1129,7 +1129,11 @@ impl<'a> Runner<'a> {
                 .nodes()
                 .last()
                 .ok_or("empty topology")?;
-            (self.cluster.topology_without(victim), Some(victim), None)
+            let target = self
+                .cluster
+                .drain_node(victim)
+                .map_err(|e| format!("drain {victim}: {e}"))?;
+            (target, Some(victim), None)
         };
 
         // One concurrent job per dataset.
@@ -1247,21 +1251,15 @@ impl<'a> Runner<'a> {
         let mut finished = Vec::new();
         for mut job in jobs {
             let ds = job.dataset();
-            job.prepare(&mut self.cluster)
-                .map_err(|e| format!("prepare dataset {ds}: {e}"))?;
-            let outcome = job
-                .decide(&mut self.cluster)
-                .map_err(|e| format!("decide dataset {ds}: {e}"))?;
-            if outcome != RebalanceOutcome::Committed {
+            let report = job
+                .drive_to_completion(&mut self.cluster)
+                .map_err(|e| format!("finishing the rebalance of dataset {ds}: {e}"))?;
+            if report.outcome != RebalanceOutcome::Committed {
                 return Err(format!(
-                    "dataset {ds} rebalance did not commit: {outcome:?}"
+                    "dataset {ds} rebalance did not commit: {:?}",
+                    report.outcome
                 ));
             }
-            job.commit(&mut self.cluster)
-                .map_err(|e| format!("commit dataset {ds}: {e}"))?;
-            let report = job
-                .finalize(&mut self.cluster)
-                .map_err(|e| format!("finalize dataset {ds}: {e}"))?;
             buckets_moved += report.buckets_moved;
             finished.push((ds, report.rebalance_id));
             self.rebalances += 1;

@@ -6,11 +6,9 @@
 //! through data feeds, running queries (see [`crate::query`]), scaling the
 //! cluster in or out, and rebalancing datasets (see [`crate::rebalance`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use dynahash_core::{
-    BucketHeat, ClusterTopology, GlobalDirectory, NodeId, PartitionId, RebalanceOutcome, Scheme,
-};
+use dynahash_core::{BucketHeat, ClusterTopology, GlobalDirectory, NodeId, PartitionId, Scheme};
 use dynahash_lsm::bucket::BucketId;
 use dynahash_lsm::entry::{Key, StorageFootprint, Value};
 use dynahash_lsm::metrics::MetricsSnapshot;
@@ -19,10 +17,12 @@ use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 use crate::control::{HeatCell, HeatReport, JobProgress, PushedUpdate, SessionRegistry};
 use crate::controller::ClusterController;
 use crate::dataset::{DatasetId, DatasetSpec};
-use crate::fault::{ClusterHealth, FaultSchedule, FaultStats, WaveFault};
+use crate::fault::{ClusterHealth, FaultSchedule, FaultStats, NodeState, WaveFault};
 use crate::feed::IngestReport;
+use crate::job::RebalanceJob;
 use crate::node::NodeController;
 use crate::partition::Partition;
+use crate::rebalance::RebalanceReport;
 use crate::sim::{CostModel, NodeTimeline, SimDuration};
 use crate::ClusterError;
 
@@ -92,6 +92,8 @@ pub struct Cluster {
     /// Progress of in-flight rebalance jobs, published by the job steps and
     /// surfaced through [`Admin::health`].
     pub(crate) job_progress: BTreeMap<DatasetId, JobProgress>,
+    /// Nodes marked for scale-in by [`Cluster::drain_node`].
+    draining: BTreeSet<NodeId>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -127,6 +129,7 @@ impl Cluster {
             heat: HeatCell::default(),
             subscribers: SessionRegistry::default(),
             job_progress: BTreeMap::new(),
+            draining: BTreeSet::new(),
         }
     }
 
@@ -675,6 +678,7 @@ impl Cluster {
             return Err(ClusterError::NodeNotEmpty(node, remaining));
         }
         self.nodes.remove(&node);
+        self.draining.remove(&node);
         self.topology = self.topology.without_node(node);
         // Drop the removed partitions from every dataset's partition list,
         // bumping the routing version so cached sessions stop dispatching
@@ -717,6 +721,7 @@ impl Cluster {
             }
         }
         self.nodes.remove(&node);
+        self.draining.remove(&node);
         self.topology = self.topology.without_node(node);
         for dataset in self.controller.dataset_ids() {
             let topo = self.topology.clone();
@@ -734,6 +739,31 @@ impl Cluster {
     /// scale-in rebalance before actually decommissioning the node).
     pub fn topology_without(&self, node: NodeId) -> ClusterTopology {
         self.topology.without_node(node)
+    }
+
+    /// Records the intent to scale `node` in and returns the topology to
+    /// rebalance onto ([`Cluster::topology_without`]). The node is marked
+    /// draining until [`Cluster::decommission_node`] removes it: it stays
+    /// alive for reads and writes and can still be a move source, but no
+    /// placement decision — the control plane's auto-planned target, repair
+    /// placement, re-planned reroutes — picks it as a destination.
+    pub fn drain_node(&mut self, node: NodeId) -> Result<ClusterTopology, ClusterError> {
+        self.node(node)?;
+        self.draining.insert(node);
+        Ok(self.topology_without(node))
+    }
+
+    /// True while `node` is marked draining.
+    pub fn node_is_draining(&self, node: NodeId) -> bool {
+        self.draining.contains(&node)
+    }
+
+    /// The topology new placements may target: the current one without the
+    /// draining nodes.
+    pub(crate) fn placement_target(&self) -> ClusterTopology {
+        self.draining
+            .iter()
+            .fold(self.topology.clone(), |t, n| t.without_node(*n))
     }
 
     // ------------------------------------------------------------- reporting
@@ -1001,7 +1031,13 @@ impl Admin<'_> {
                 .topology()
                 .nodes()
                 .into_iter()
-                .filter_map(|n| Some((n, self.cluster.node(n).ok()?.state())))
+                .filter_map(|n| {
+                    let state = match self.cluster.node(n).ok()?.state() {
+                        NodeState::Alive if self.cluster.node_is_draining(n) => NodeState::Draining,
+                        state => state,
+                    };
+                    Some((n, state))
+                })
                 .collect(),
             stats: self.cluster.fault_stats().clone(),
             jobs: self.cluster.job_progress.values().cloned().collect(),
@@ -1009,51 +1045,26 @@ impl Admin<'_> {
     }
 
     /// One-shot degraded-dataset repair: restores every currently-lost
-    /// bucket of the dataset from the operator-supplied feed by driving a
-    /// [`crate::repair::RepairJob`] end to end — plan, load, prepare,
-    /// commit, finalize — re-planning around nodes lost mid-repair. Returns
-    /// a no-op report (no log records forced) when nothing is degraded, so
-    /// repeating a repair is free and idempotent.
+    /// bucket of the dataset from the operator-supplied feed with a
+    /// [`RebalanceJob::plan_repair`] job driven to completion, re-planning
+    /// around nodes lost mid-repair. Returns `None` — and forces no log
+    /// records — when nothing is degraded, so repeating a repair is free and
+    /// idempotent.
     pub fn repair_dataset(
         &mut self,
         dataset: DatasetId,
         feed: &[(Key, Value)],
-    ) -> Result<crate::repair::RepairReport, ClusterError> {
-        if self
+    ) -> Result<Option<RebalanceReport>, ClusterError> {
+        if !self
             .cluster
             .fault_stats()
-            .degraded_buckets(dataset)
-            .is_empty()
+            .degraded_datasets()
+            .contains(&dataset)
         {
-            return Ok(crate::repair::RepairReport::noop(dataset));
+            return Ok(None);
         }
-        let mut job = crate::repair::RepairJob::plan(self.cluster, dataset)?;
-        // Each replan removes at least one dead participant, so the loop is
-        // bounded by the cluster size.
-        let max_replans = self.cluster.topology().nodes().len() + 1;
-        let mut replans = 0usize;
-        loop {
-            match job.load(self.cluster, feed) {
-                Ok(()) => break,
-                Err(ClusterError::NodeLost(_) | ClusterError::NodeDown(_))
-                    if replans < max_replans =>
-                {
-                    job.replan(self.cluster)?;
-                    replans += 1;
-                }
-                Err(e) => {
-                    job.abort(self.cluster)?;
-                    job.finalize(self.cluster)?;
-                    return Err(e);
-                }
-            }
-        }
-        job.prepare(self.cluster)?;
-        match job.decide(self.cluster)? {
-            RebalanceOutcome::Committed => job.commit(self.cluster)?,
-            RebalanceOutcome::Aborted => {}
-        }
-        job.finalize(self.cluster)
+        let mut job = RebalanceJob::plan_repair(self.cluster, dataset, feed.to_vec())?;
+        job.drive_to_completion(self.cluster).map(Some)
     }
 
     /// The merged heat snapshot of a dataset: the decayed per-bucket op

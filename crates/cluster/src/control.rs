@@ -834,14 +834,9 @@ impl ControlPlane {
         &self.config
     }
 
-    /// The dataset of the in-flight auto-planned job, if any.
-    pub fn in_flight_dataset(&self) -> Option<DatasetId> {
-        self.job.as_ref().map(|j| j.dataset())
-    }
-
     /// Registers (or replaces) a repair feed for a dataset: the records a
     /// health tick re-ingests the dataset's lost buckets from when it finds
-    /// the dataset degraded (see [`crate::repair::RepairJob`]). Register the
+    /// the dataset degraded (see [`RebalanceJob::plan_repair`]). Register the
     /// feed *after* the loss (or keep it current): a lost bucket's content
     /// cannot drift while degraded — writes to it are rejected — so a
     /// post-loss snapshot stays exact until the repair commits.
@@ -963,23 +958,18 @@ impl ControlPlane {
     /// repair is logged as [`ControlDecision::Repaired`].
     fn auto_repair(&mut self, cluster: &mut Cluster, report: &mut TickReport) -> Result<()> {
         for dataset in self.repair_feed_datasets() {
-            if cluster.fault_stats().degraded_buckets(dataset).is_empty() {
-                continue;
-            }
-            let Some(feed) = self.repair_feeds.get(&dataset).cloned() else {
-                continue;
-            };
-            let repair = cluster.admin().repair_dataset(dataset, &feed)?;
-            if let Some(rebalance) = repair.rebalance {
+            let feed = &self.repair_feeds[&dataset];
+            let repair = cluster.admin().repair_dataset(dataset, feed)?;
+            if let Some(repair) = repair.filter(|r| r.outcome == RebalanceOutcome::Committed) {
                 self.repairs += 1;
                 self.log(
                     report,
                     ControlDecision::Repaired {
                         tick: self.tick,
                         dataset,
-                        rebalance,
-                        buckets: repair.buckets.len(),
-                        records: repair.records_restored,
+                        rebalance: repair.rebalance_id,
+                        buckets: repair.buckets_moved,
+                        records: repair.records_moved,
                     },
                 );
             }
@@ -989,8 +979,7 @@ impl ControlPlane {
 
     /// Drives the in-flight job one tick's worth: health check → re-plan if
     /// a participant is lost, run waves while the window budget admits
-    /// them, and complete prepare/decide/commit/finalize once every wave
-    /// ran.
+    /// them, and drive the job to completion once every wave ran.
     fn drive_job(&mut self, cluster: &mut Cluster, report: &mut TickReport) -> Result<()> {
         let Some(mut job) = self.job.take() else {
             return Ok(());
@@ -1003,19 +992,7 @@ impl ControlPlane {
         if matches!(job.state(), crate::job::JobState::Moving { .. })
             && job.participants().iter().any(|n| cluster.node_is_lost(*n))
         {
-            let replan = job.replan_wave(cluster)?;
-            if !replan.is_noop() {
-                self.replans += 1;
-                self.log(
-                    report,
-                    ControlDecision::Replanned {
-                        tick: self.tick,
-                        dataset,
-                        lost_nodes: replan.lost_nodes.clone(),
-                        rerouted: replan.rerouted,
-                    },
-                );
-            }
+            self.replan(cluster, &mut job, report)?;
         }
 
         while job.has_remaining_waves() {
@@ -1047,24 +1024,11 @@ impl ControlPlane {
                     self.window_buckets += wave.moves;
                     self.window_bytes += wave.bytes;
                 }
-                Err(ClusterError::NodeLost(_)) => {
-                    // A node died between the health check and the wave:
-                    // re-plan and keep going this tick.
-                    let replan = job.replan_wave(cluster)?;
-                    self.replans += 1;
-                    self.log(
-                        report,
-                        ControlDecision::Replanned {
-                            tick: self.tick,
-                            dataset,
-                            lost_nodes: replan.lost_nodes.clone(),
-                            rerouted: replan.rerouted,
-                        },
-                    );
-                }
+                // A node died between the health check and the wave:
+                // re-plan and keep going this tick.
+                Err(ClusterError::NodeLost(_)) => self.replan(cluster, &mut job, report)?,
                 Err(e) => {
-                    job.abort(cluster)?;
-                    job.finalize(cluster)?;
+                    job.settle(cluster);
                     self.aborted_jobs += 1;
                     self.log(
                         report,
@@ -1080,42 +1044,57 @@ impl ControlPlane {
         }
 
         // All waves ran: finish the three-phase protocol this tick.
-        job.prepare(cluster)?;
-        match job.decide(cluster)? {
-            RebalanceOutcome::Committed => {
-                job.commit(cluster)?;
-                let bytes = job.bytes_shipped();
-                let rebalance = job.rebalance_id();
-                job.finalize(cluster)?;
-                self.committed_jobs += 1;
-                self.cooldown_until
-                    .insert(dataset, self.tick + self.config.cooldown_ticks);
-                self.streaks.insert(dataset, 0);
-                self.log(
-                    report,
-                    ControlDecision::Committed {
-                        tick: self.tick,
-                        dataset,
-                        rebalance,
-                        bytes,
-                    },
-                );
-                report.committed = Some((dataset, rebalance));
-            }
-            RebalanceOutcome::Aborted => {
-                job.finalize(cluster)?;
-                self.aborted_jobs += 1;
-                self.cooldown_until
-                    .insert(dataset, self.tick + self.config.cooldown_ticks);
-                self.log(
-                    report,
-                    ControlDecision::Aborted {
-                        tick: self.tick,
-                        dataset,
-                        rebalance: job.rebalance_id(),
-                    },
-                );
-            }
+        let done = job.drive_to_completion(cluster)?;
+        let rebalance = done.rebalance_id;
+        self.cooldown_until
+            .insert(dataset, self.tick + self.config.cooldown_ticks);
+        if done.outcome == RebalanceOutcome::Committed {
+            self.committed_jobs += 1;
+            self.streaks.insert(dataset, 0);
+            self.log(
+                report,
+                ControlDecision::Committed {
+                    tick: self.tick,
+                    dataset,
+                    rebalance,
+                    bytes: done.bytes_moved,
+                },
+            );
+            report.committed = Some((dataset, rebalance));
+        } else {
+            self.aborted_jobs += 1;
+            self.log(
+                report,
+                ControlDecision::Aborted {
+                    tick: self.tick,
+                    dataset,
+                    rebalance,
+                },
+            );
+        }
+        Ok(())
+    }
+
+    /// Re-plans the job around its lost participants, logging the decision
+    /// when anything changed.
+    fn replan(
+        &mut self,
+        cluster: &mut Cluster,
+        job: &mut RebalanceJob,
+        report: &mut TickReport,
+    ) -> Result<()> {
+        let replan = job.replan_wave(cluster)?;
+        if !replan.is_noop() {
+            self.replans += 1;
+            self.log(
+                report,
+                ControlDecision::Replanned {
+                    tick: self.tick,
+                    dataset: job.dataset(),
+                    lost_nodes: replan.lost_nodes,
+                    rerouted: replan.rerouted,
+                },
+            );
         }
         Ok(())
     }
@@ -1240,7 +1219,8 @@ impl ControlPlane {
                 continue;
             }
             let loads = heat.bucket_loads(self.config.op_weight_bytes);
-            let target = cluster.topology().clone();
+            // Never plan heat back onto a node being scaled in.
+            let target = cluster.placement_target();
             let cap = self
                 .config
                 .max_concurrent_moves

@@ -208,12 +208,6 @@ impl FaultSchedule {
     pub fn take_wave_fault(&mut self, wave: u64) -> Option<WaveFault> {
         self.wave_faults.remove(&wave)
     }
-
-    /// The scheduled-but-not-yet-fired wave faults (for drivers that want
-    /// to know whether a loss is still coming).
-    pub fn pending_wave_faults(&self) -> impl Iterator<Item = (&u64, &WaveFault)> {
-        self.wave_faults.iter()
-    }
 }
 
 // ----------------------------------------------------------------- stats
@@ -240,13 +234,14 @@ pub struct FaultStats {
     /// Speculative backups that finished before the original attempt (the
     /// original's work was cancelled; the wave charged the winner's window).
     pub speculation_wins: u64,
-    /// Lost buckets restored by a committed repair job, cumulative.
+    /// Lost buckets restored by committed repairs, cumulative.
     pub repaired_buckets: u64,
     /// Nodes permanently lost (never recovered).
     pub lost_nodes: Vec<NodeId>,
     /// Buckets whose only copy died with a lost node, per dataset. Such a
     /// dataset keeps serving every other bucket (degraded mode); a committed
-    /// [`repair`](crate::repair) job removes its buckets from this map.
+    /// repair ([`crate::job::RebalanceJob::plan_repair`]) removes its
+    /// buckets from this map.
     pub lost_buckets: BTreeMap<DatasetId, Vec<BucketId>>,
 }
 
@@ -264,6 +259,25 @@ impl FaultStats {
         buckets.sort();
         buckets
     }
+
+    /// Records a bucket of `dataset` as lost (idempotent).
+    pub(crate) fn mark_lost(&mut self, dataset: DatasetId, bucket: BucketId) {
+        let lost = self.lost_buckets.entry(dataset).or_default();
+        if !lost.contains(&bucket) {
+            lost.push(bucket);
+        }
+    }
+
+    /// Records a lost bucket of `dataset` as restored by a repair.
+    pub(crate) fn mark_repaired(&mut self, dataset: DatasetId, bucket: BucketId) {
+        if let Some(lost) = self.lost_buckets.get_mut(&dataset) {
+            lost.retain(|b| *b != bucket);
+            if lost.is_empty() {
+                self.lost_buckets.remove(&dataset);
+            }
+        }
+        self.repaired_buckets += 1;
+    }
 }
 
 // ---------------------------------------------------------------- health
@@ -279,6 +293,10 @@ pub enum NodeState {
     Crashed,
     /// Permanently lost; never returns.
     Lost,
+    /// Alive and marked for scale-in by `Cluster::drain_node`: serves reads
+    /// and writes and can be a move source, but is never picked as a
+    /// destination.
+    Draining,
 }
 
 /// The cluster health surface: per-node state plus the fault-plane
@@ -299,7 +317,10 @@ pub struct ClusterHealth {
 impl ClusterHealth {
     /// True when every node is alive and no dataset is degraded.
     pub fn all_healthy(&self) -> bool {
-        self.nodes.iter().all(|(_, s)| *s == NodeState::Alive) && self.stats.lost_buckets.is_empty()
+        self.nodes
+            .iter()
+            .all(|(_, s)| matches!(s, NodeState::Alive | NodeState::Draining))
+            && self.stats.lost_buckets.is_empty()
     }
 
     /// Datasets serving without some of their buckets.

@@ -1,31 +1,37 @@
 //! The step-driven rebalance executor (the resumable form of Section V).
 //!
 //! [`RebalanceJob`] decomposes the three-phase rebalance protocol into an
-//! explicit state machine with one method per step:
+//! explicit state machine with one method per step. A **rebalance**
+//! ([`RebalanceJob::plan`]) ships buckets from their source partitions onto
+//! a new target topology; a **repair** ([`RebalanceJob::plan_repair`])
+//! restores the buckets whose only copy died with a lost node, each move
+//! loading its bucket from an operator feed the job owns instead of from a
+//! source partition. Everything else serves both kinds:
 //!
 //! ```text
-//! plan -> init -> run_wave(0) .. run_wave(n-1) -> prepare -> decide
-//!                                                      |        |
-//!                                                    abort      +-> commit
-//!                                                      |        |
-//!                                                      +--------+-> finalize
+//! plan | plan_repair
+//!   -> init -> run_wave(0) .. run_wave(n-1) -> prepare -> decide
+//!                  |        ^                      |         |
+//!                  +--------+                    abort       +-> commit
+//!             NodeLost: replan_wave                |             |
+//!                                                  +-------------+-> finalize
 //! ```
+//!
+//! [`RebalanceJob::drive_to_completion`] is the one completion path: it
+//! runs whatever steps remain and, on an error, aborts the job or finishes
+//! a commit that is already durable. Only the one-shot
+//! [`crate::cluster::Cluster::rebalance`] driver steps by hand (see
+//! [`crate::rebalance`]), to inject the Section V-D failures between steps.
 //!
 //! The job holds **no borrow of the cluster** between steps, so the cluster
 //! stays fully usable mid-rebalance: queries can run, feed batches can be
 //! applied through [`RebalanceJob::apply_feed_batch`] (with replication to
 //! already-shipped buckets), and nodes or the Cluster Controller can crash
 //! and recover. Each wave moves up to `max_concurrent_moves` buckets in
-//! parallel and simulated time is charged per wave — the wave's *makespan*
-//! is its slowest participating node — so wider waves finish measurably
-//! earlier than the serial one-bucket-at-a-time schedule.
-//!
-//! The one-shot [`crate::cluster::Cluster::rebalance`] entry point is a thin
-//! driver loop over this job (see [`crate::rebalance`]); driving the job
-//! directly is how scenario tests observe and perturb a rebalance between
-//! any two steps. A job must always be driven to [`RebalanceJob::finalize`]
-//! (via commit or abort) — abandoning one mid-flight leaves bucket splits
-//! disabled and the dataset's write-replication state registered.
+//! parallel and is charged its *makespan* — its slowest participating node.
+//! A job must always be driven to [`RebalanceJob::finalize`] — abandoning
+//! one mid-flight leaves bucket splits disabled and the dataset's
+//! write-replication state registered.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,6 +42,7 @@ use dynahash_core::{
 };
 use dynahash_lsm::entry::{Key, Value};
 use dynahash_lsm::wal::{LogRecordBody, RebalanceId, ShippedMove};
+use dynahash_lsm::Entry;
 
 use crate::cluster::Cluster;
 use crate::dataset::DatasetId;
@@ -180,8 +187,10 @@ pub struct RebalanceJob {
     coordinator: RebalanceCoordinator,
     move_policy: MovePolicy,
     secondary_rebuild: SecondaryRebuild,
-    retry: RetryPolicy,
     speculation: SpeculationPolicy,
+    /// `Some` for a repair: every move loads its bucket from this operator
+    /// feed instead of shipping it from a source partition.
+    feed: Option<Vec<(Key, Value)>>,
     state: JobState,
     init_tl: NodeTimeline,
     move_tl: NodeTimeline,
@@ -257,20 +266,7 @@ impl RebalanceJob {
         if target.is_empty() {
             return Err(ClusterError::Core(dynahash_core::CoreError::EmptyTopology));
         }
-        if !cluster.scheme_of(dataset)?.is_bucketed() {
-            return Err(ClusterError::RebalanceAborted(
-                "the step-driven RebalanceJob requires a bucketed scheme".to_string(),
-            ));
-        }
-        let rebalance_id = cluster.controller.next_rebalance_id();
-        // The CC forces BEGIN before anything else (Section V-D).
-        cluster
-            .controller
-            .metadata_log
-            .append_forced(LogRecordBody::RebalanceBegin {
-                rebalance: rebalance_id,
-                dataset,
-            });
+        let rebalance_id = Self::begin(cluster, dataset)?;
 
         let locals = cluster.local_directories(dataset)?;
         let routing = GlobalDirectory::refresh_from_locals(locals).map_err(ClusterError::Core)?;
@@ -301,7 +297,6 @@ impl RebalanceJob {
                 m.bytes = sizes.get(&m.bucket).copied().unwrap_or(0);
             }
         }
-        let total_bytes = cluster.dataset_primary_bytes(dataset)?;
 
         // Participants: every node hosting a source or destination partition
         // of the plan, plus all target nodes (which must ack the commit).
@@ -317,27 +312,137 @@ impl RebalanceJob {
 
         let topology = cluster.topology().clone();
         let waves = plan.schedule_waves(max_concurrent_moves, |p| topology.node_of(p));
-        let coordinator = RebalanceCoordinator::new(rebalance_id, participants.clone());
+        Self::assemble(cluster, dataset, plan, waves, participants, None)
+    }
 
+    /// Plans a repair of the dataset's degraded buckets from `feed`: each
+    /// lost bucket becomes one move loading its records from the feed,
+    /// keeping its owner when that partition can take data and going to
+    /// the least-loaded one that can otherwise. All moves form one wave.
+    /// Commit tasks install the restored buckets and clear them from the
+    /// degraded set. An empty scope commits trivially; for a free no-op use
+    /// [`crate::cluster::Admin::repair_dataset`].
+    pub fn plan_repair(
+        cluster: &mut Cluster,
+        dataset: DatasetId,
+        feed: Vec<(Key, Value)>,
+    ) -> Result<Self> {
+        if cluster.active_rebalances.contains_key(&dataset) {
+            return Err(ClusterError::RebalanceAborted(
+                "dataset has an in-flight rebalance; finalize it before repairing".to_string(),
+            ));
+        }
+        let rebalance_id = Self::begin(cluster, dataset)?;
+        // The CC directory, not a refresh from the local directories: a lost
+        // node's partitions still list the buckets that died with it.
+        let routing = cluster
+            .controller
+            .dataset(dataset)?
+            .directory
+            .clone()
+            .ok_or_else(|| {
+                ClusterError::RebalanceAborted("bucketed dataset has no directory".to_string())
+            })?;
+        let target = cluster
+            .topology()
+            .nodes()
+            .into_iter()
+            .filter(|n| cluster.node_is_lost(*n))
+            .fold(cluster.topology().clone(), |t, n| t.without_node(n));
+
+        let scope = cluster.faults.stats.degraded_buckets(dataset);
+        let mut feed_bytes: BTreeMap<BucketId, u64> = scope.into_iter().map(|b| (b, 0)).collect();
+        for (key, value) in &feed {
+            if let Some(bytes) = routing
+                .lookup_key(key)
+                .and_then(|(b, _)| feed_bytes.get_mut(&b))
+            {
+                *bytes += (key.len() + value.len()) as u64;
+            }
+        }
+        let mut loads = placement_loads(cluster, &target);
+        let mut plan = RebalancePlan {
+            rebalance_id,
+            old_directory: routing.clone(),
+            new_directory: routing.clone(),
+            moves: Vec::new(),
+            target: target.clone(),
+        };
+        for (bucket, bytes) in feed_bytes {
+            let from = routing
+                .partition_of_bucket(&bucket)
+                .ok_or(ClusterError::RoutingFailed(dataset))?;
+            let to = match loads.contains_key(&from) {
+                true => from,
+                false => pick_least_loaded(&mut loads, bytes).ok_or_else(|| {
+                    ClusterError::RebalanceAborted("no live partition to repair onto".to_string())
+                })?,
+            };
+            plan.new_directory.reassign(bucket, to);
+            plan.moves.push(BucketMove {
+                bucket,
+                from,
+                to,
+                bytes,
+            });
+        }
+        // Every alive node takes part: owners ack their installs and the
+        // rest ack the (possibly reassigned) directory.
+        let participants: Vec<NodeId> = target
+            .nodes()
+            .into_iter()
+            .filter(|n| cluster.node_is_alive(*n))
+            .collect();
+        let waves = plan.schedule_waves(plan.moves.len(), |_| None);
+        Self::assemble(cluster, dataset, plan, waves, participants, Some(feed))
+    }
+
+    /// Checks the dataset can be driven step by step and forces BEGIN, the
+    /// CC's first act for any rebalance (Section V-D).
+    fn begin(cluster: &mut Cluster, dataset: DatasetId) -> Result<RebalanceId> {
+        if !cluster.scheme_of(dataset)?.is_bucketed() {
+            return Err(ClusterError::RebalanceAborted(
+                "the step-driven RebalanceJob requires a bucketed scheme".to_string(),
+            ));
+        }
+        let rebalance_id = cluster.controller.next_rebalance_id();
+        cluster
+            .controller
+            .metadata_log
+            .append_forced(LogRecordBody::RebalanceBegin {
+                rebalance: rebalance_id,
+                dataset,
+            });
+        Ok(rebalance_id)
+    }
+
+    fn assemble(
+        cluster: &Cluster,
+        dataset: DatasetId,
+        plan: RebalancePlan,
+        waves: Vec<Vec<BucketMove>>,
+        participants: Vec<NodeId>,
+        feed: Option<Vec<(Key, Value)>>,
+    ) -> Result<Self> {
         Ok(RebalanceJob {
             dataset,
-            rebalance_id,
-            target: target.clone(),
+            rebalance_id: plan.rebalance_id,
+            target: plan.target.clone(),
+            coordinator: RebalanceCoordinator::new(plan.rebalance_id, participants.clone()),
+            routing: plan.old_directory.clone(),
+            total_bytes: cluster.dataset_primary_bytes(dataset)?,
             plan,
             waves,
-            routing,
             participants,
-            coordinator,
             move_policy: MovePolicy::default(),
             secondary_rebuild: SecondaryRebuild::default(),
-            retry: RetryPolicy::default(),
             speculation: SpeculationPolicy::default(),
+            feed,
             state: JobState::Planned,
             init_tl: NodeTimeline::new(),
             move_tl: NodeTimeline::new(),
             fin_tl: NodeTimeline::new(),
             clock: WaveClock::new(),
-            total_bytes,
             bytes_moved: 0,
             records_moved: 0,
             writes_applied: 0,
@@ -365,7 +470,8 @@ impl RebalanceJob {
         self.init_tl
             .charge_coordinator(SimDuration::from_nanos(cost.job_overhead_ns));
 
-        for m in &self.plan.moves {
+        // A repair loads from its feed: there is no source bucket to freeze.
+        for m in self.plan.moves.iter().filter(|_| self.feed.is_none()) {
             let node = cluster.node_of_partition(m.from)?;
             let before = cluster.partition(m.from)?.metrics().snapshot();
             cluster
@@ -422,7 +528,7 @@ impl RebalanceJob {
     ///
     /// With a [`FaultSchedule`](crate::fault::FaultSchedule) installed on
     /// the cluster, each transfer consults it per attempt and retries
-    /// transient failures under the job's [`RetryPolicy`], charging capped
+    /// transient failures under [`RetryPolicy::default`], charging capped
     /// exponential backoff into the wave's makespan; slow nodes scale their
     /// charged durations.
     pub fn run_wave(&mut self, cluster: &mut Cluster) -> Result<WaveReport> {
@@ -434,14 +540,18 @@ impl RebalanceJob {
         };
         let wave = self.waves[wave_index].clone();
 
-        // Data movement needs both ends of every move up.
+        // Data movement needs both ends of every move up; a move loading
+        // from the feed only needs its destination.
         let mut endpoints: Vec<(NodeId, NodeId)> = Vec::with_capacity(wave.len());
         for m in &wave {
-            let src_node = cluster.node_of_partition(m.from)?;
             let dst_node = self
                 .target
                 .node_of(m.to)
                 .ok_or(ClusterError::UnknownPartition(m.to))?;
+            let src_node = match self.feed {
+                Some(_) => dst_node,
+                None => cluster.node_of_partition(m.from)?,
+            };
             for node in [src_node, dst_node] {
                 if cluster.node_is_lost(node) {
                     return Err(ClusterError::NodeLost(node));
@@ -592,7 +702,7 @@ impl RebalanceJob {
     /// per-move transfer cost.
     ///
     /// When a fault schedule is installed, transient failures burn attempts
-    /// under the job's [`RetryPolicy`] first — each failed attempt charges
+    /// under [`RetryPolicy::default`] first — each failed attempt charges
     /// a round-trip plus capped exponential backoff to both endpoints — and
     /// slow nodes scale every duration charged to them. With no schedule
     /// (or an empty one) the charges below are byte-identical to the
@@ -604,16 +714,20 @@ impl RebalanceJob {
         tl: &mut NodeTimeline,
     ) -> Result<ShipStats> {
         let cost = cluster.cost_model();
-        let src_node = cluster.node_of_partition(m.from)?;
         let dst_node = self
             .target
             .node_of(m.to)
             .ok_or(ClusterError::UnknownPartition(m.to))?;
+        if let Some(feed) = &self.feed {
+            return self.load_from_feed(cluster, feed, m, dst_node, tl);
+        }
+        let src_node = cluster.node_of_partition(m.from)?;
         let plane = cluster.fault_plane().filter(|s| !s.is_empty()).cloned();
+        let retry = RetryPolicy::default();
         if let Some(plane) = &plane {
             let mut attempt = 0u32;
             while plane.transient_failure(m.bucket, m.from, m.to, attempt) {
-                if attempt >= self.retry.max_retries {
+                if attempt >= retry.max_retries {
                     return Err(ClusterError::RebalanceAborted(format!(
                         "transfer of bucket {} from {} to {} failed transiently {} times, \
                          exhausting its retry budget",
@@ -623,7 +737,7 @@ impl RebalanceJob {
                         attempt + 1
                     )));
                 }
-                let backoff = self.retry.backoff(attempt);
+                let backoff = retry.backoff(attempt);
                 let round_trip = SimDuration::from_nanos(cost.network_latency_ns);
                 tl.charge(src_node, plane.scaled(src_node, round_trip) + backoff);
                 tl.charge(dst_node, plane.scaled(dst_node, round_trip) + backoff);
@@ -720,15 +834,51 @@ impl RebalanceJob {
         }
     }
 
+    /// Loads `m`'s bucket from a repair's feed into a pending bucket on its
+    /// destination. The feed is routed through the job's directory; the
+    /// destination pays the transfer, ingest and write costs of the records
+    /// it receives.
+    fn load_from_feed(
+        &self,
+        cluster: &mut Cluster,
+        feed: &[(Key, Value)],
+        m: &BucketMove,
+        dst_node: NodeId,
+        tl: &mut NodeTimeline,
+    ) -> Result<ShipStats> {
+        let cost = cluster.cost_model();
+        let mut bytes = 0u64;
+        let entries: Vec<Entry> = feed
+            .iter()
+            .filter(|(k, _)| self.routing.lookup_key(k).map(|(b, _)| b) == Some(m.bucket))
+            .map(|(k, v)| {
+                bytes += (k.len() + v.len()) as u64;
+                Entry::put(k.clone(), v.clone())
+            })
+            .collect();
+        let records = entries.len() as u64;
+        let ds = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
+        ds.ensure_pending_bucket(m.bucket)?;
+        ds.load_pending(m.bucket, entries)?;
+        let nominal = cost.network(bytes) + cost.ingest_cpu(records) + cost.disk_write(bytes);
+        tl.charge(dst_node, nominal);
+        Ok(ShipStats {
+            bytes,
+            records,
+            component_ids: Vec::new(),
+            nominal,
+        })
+    }
+
     /// Re-plans the in-flight rebalance around permanently lost participants
     /// instead of aborting. Allowed whenever the job is in data movement
     /// (between any two waves, including before the first and after the
     /// last). For each lost node the job:
     ///
     /// * redirects every move *to* one of its partitions onto the surviving
-    ///   destination partition with the least planned inbound bytes (lowest
-    ///   partition id breaks ties), amending both the plan and the planned
-    ///   directory;
+    ///   destination partition — alive and not draining — with the least
+    ///   planned inbound bytes (lowest partition id breaks ties), amending
+    ///   both the plan and the planned directory;
     /// * schedules already-shipped redirected moves for a fresh transfer
     ///   from their (still live) sources — the WAL's `ShippedMove` records
     ///   and the sources' kept copies make this safe — and unregisters their
@@ -741,6 +891,10 @@ impl RebalanceJob {
     /// * drops the node from the participant set, the 2PC coordinator, and
     ///   the target topology, then reschedules the still-pending moves into
     ///   fresh waves.
+    ///
+    /// A repair declares nothing lost: its moves load from the feed, so a
+    /// rerouted move loads again on its new destination and the node's
+    /// resident buckets join the repair's scope as feed moves.
     ///
     /// Sessions keep serving reads from still-live sources throughout: the
     /// routing directory only changes at commit.
@@ -761,6 +915,7 @@ impl RebalanceJob {
             return Ok(ReplanReport::default());
         }
         let cost = cluster.cost_model();
+        let from_feed = self.feed.is_some();
 
         let mut new_target = self.target.clone();
         for n in &lost {
@@ -793,14 +948,10 @@ impl RebalanceJob {
 
         // Surviving destinations, ranked by planned inbound bytes so the
         // reroutes spread instead of piling onto one partition.
-        let mut inbound: BTreeMap<PartitionId, u64> = new_target
-            .partitions()
-            .into_iter()
-            .map(|p| (p, 0))
-            .collect();
+        let mut inbound = placement_loads(cluster, &new_target);
         for (i, m) in self.plan.moves.iter().enumerate() {
-            if !dst_lost[i] {
-                *inbound.entry(m.to).or_default() += m.bytes;
+            if let Some(bytes) = inbound.get_mut(&m.to).filter(|_| !dst_lost[i]) {
+                *bytes += m.bytes;
             }
         }
 
@@ -825,7 +976,8 @@ impl RebalanceJob {
                         active.shipped.remove(&m.bucket);
                     }
                 }
-                let src_in_target = !src_lost[i] && new_target.node_of(m.from).is_some();
+                let src_in_target =
+                    !from_feed && !src_lost[i] && new_target.node_of(m.from).is_some();
                 if src_in_target {
                     // The cheapest reroute: cancel the move and let the
                     // bucket stay on its live source (which keeps its copy
@@ -841,7 +993,7 @@ impl RebalanceJob {
                     })?;
                     self.plan.moves[i].to = new_to;
                     self.plan.new_directory.reassign(m.bucket, new_to);
-                    if already_shipped && !src_lost[i] {
+                    if already_shipped && (from_feed || !src_lost[i]) {
                         reship.insert(m.bucket);
                         report.reshipped += 1;
                     }
@@ -850,11 +1002,7 @@ impl RebalanceJob {
             }
             // The data survives if the destination holds a shipped copy or
             // the source still lives; otherwise the bucket is lost.
-            let survives = if already_shipped && !dst_lost[i] {
-                true
-            } else {
-                !src_lost[i]
-            };
+            let survives = from_feed || (already_shipped && !dst_lost[i]) || !src_lost[i];
             if !survives {
                 lost_buckets.push(m.bucket);
             }
@@ -883,7 +1031,9 @@ impl RebalanceJob {
                         bytes: 0,
                     });
                     report.rerouted += 1;
-                    lost_buckets.push(bucket);
+                    if !from_feed {
+                        lost_buckets.push(bucket);
+                    }
                 }
             }
         }
@@ -911,9 +1061,10 @@ impl RebalanceJob {
             .iter()
             .copied()
             .filter(|m| {
-                let src_live = topology
-                    .node_of(m.from)
-                    .is_some_and(|n| !cluster.node_is_lost(n));
+                let src_live = from_feed
+                    || topology
+                        .node_of(m.from)
+                        .is_some_and(|n| !cluster.node_is_lost(n));
                 let needs_ship = !shipped_buckets.contains(&m.bucket) || reship.contains(&m.bucket);
                 src_live && needs_ship
             })
@@ -938,18 +1089,8 @@ impl RebalanceJob {
         self.reroutes += report.rerouted;
         cluster.faults.stats.reroutes += report.rerouted;
         cluster.faults.stats.reshipped += report.reshipped;
-        if !lost_buckets.is_empty() {
-            let entry = cluster
-                .faults
-                .stats
-                .lost_buckets
-                .entry(self.dataset)
-                .or_default();
-            for b in lost_buckets {
-                if !entry.contains(&b) {
-                    entry.push(b);
-                }
-            }
+        for b in lost_buckets {
+            cluster.faults.stats.mark_lost(self.dataset, b);
         }
         Ok(report)
     }
@@ -1164,6 +1305,69 @@ impl RebalanceJob {
         Ok(self.report(outcome))
     }
 
+    /// The one completion path: runs every step the job has left — init,
+    /// the remaining waves (re-planning around a node lost mid-movement),
+    /// prepare, decide, commit when committed, and finalize — and returns
+    /// the report. On an error the job still ends terminal: it aborts, or
+    /// finishes a commit that is already durable, and the error is
+    /// returned.
+    pub fn drive_to_completion(&mut self, cluster: &mut Cluster) -> Result<RebalanceReport> {
+        let result = self.run_to_completion(cluster);
+        if result.is_err() {
+            self.settle(cluster);
+        }
+        result
+    }
+
+    fn run_to_completion(&mut self, cluster: &mut Cluster) -> Result<RebalanceReport> {
+        loop {
+            match self.state {
+                JobState::Planned => self.init(cluster)?,
+                JobState::Moving { .. } if self.has_remaining_waves() => {
+                    match self.run_wave(cluster) {
+                        Err(ClusterError::NodeLost(n)) => {
+                            // Nothing to re-plan around: the loss hit a node
+                            // outside the participant set; surface it.
+                            if self.replan_wave(cluster)?.is_noop() {
+                                return Err(ClusterError::NodeLost(n));
+                            }
+                        }
+                        wave => {
+                            wave?;
+                        }
+                    }
+                }
+                JobState::Moving { .. } => self.prepare(cluster)?,
+                JobState::Prepared => {
+                    self.decide(cluster)?;
+                }
+                JobState::Decided(RebalanceOutcome::Committed) => self.commit(cluster)?,
+                JobState::Decided(RebalanceOutcome::Aborted) | JobState::CommitTasksDone => {
+                    return self.finalize(cluster)
+                }
+                JobState::Finalized(_) => return Err(self.invalid_step("drive_to_completion")),
+            }
+        }
+    }
+
+    /// Best-effort clean-up after a failed step, so an error never leaves
+    /// splits disabled or buckets pending: before the decision the job
+    /// aborts; once COMMIT is durable the only way forward is to finish the
+    /// commit.
+    pub(crate) fn settle(&mut self, cluster: &mut Cluster) {
+        if self.is_terminal() {
+            return;
+        }
+        if self.outcome() == Some(RebalanceOutcome::Committed) {
+            if matches!(self.state, JobState::Decided(_)) {
+                let _ = self.commit(cluster);
+            }
+        } else {
+            let _ = self.abort(cluster);
+        }
+        let _ = self.finalize(cluster);
+    }
+
     // ------------------------------------------------------------ accessors
 
     /// The rebalance operation id.
@@ -1202,32 +1406,11 @@ impl RebalanceJob {
         self.move_policy = policy;
     }
 
-    /// The retry policy bucket transfers run under when a fault schedule is
-    /// installed (default: [`RetryPolicy::default`]).
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Sets the transfer retry policy. Call before the first wave runs.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The straggler-speculation policy waves run under (default:
-    /// [`SpeculationPolicy::default`], enabled at 2x the median leg).
-    pub fn speculation(&self) -> SpeculationPolicy {
-        self.speculation
-    }
-
-    /// Sets the straggler-speculation policy. Call before the first wave
-    /// runs.
+    /// Sets the straggler-speculation policy (default:
+    /// [`SpeculationPolicy::default`], enabled at 2x the median leg). Call
+    /// before the first wave runs.
     pub fn set_speculation(&mut self, speculation: SpeculationPolicy) {
         self.speculation = speculation;
-    }
-
-    /// Transfer attempts retried after a transient fault, so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
     }
 
     /// Straggling transfers speculatively re-executed by this job, so far.
@@ -1238,11 +1421,6 @@ impl RebalanceJob {
     /// Speculative backups that beat their original attempt, so far.
     pub fn speculation_wins(&self) -> u64 {
         self.speculation_wins
-    }
-
-    /// Moves rerouted to survivors by [`RebalanceJob::replan_wave`], so far.
-    pub fn reroutes(&self) -> u64 {
-        self.reroutes
     }
 
     /// When destinations rebuild secondary entries for received buckets
@@ -1300,11 +1478,6 @@ impl RebalanceJob {
     /// sources), after any replans removed lost ones.
     pub fn participants(&self) -> &[NodeId] {
         &self.participants
-    }
-
-    /// Bytes shipped across the network so far.
-    pub fn bytes_shipped(&self) -> u64 {
-        self.bytes_moved
     }
 
     /// A point-in-time progress snapshot for [`crate::ClusterHealth`]. The
@@ -1406,7 +1579,12 @@ impl RebalanceJob {
             let Some(dst_node) = self.target.node_of(m.to) else {
                 continue;
             };
-            if cluster.node_is_alive(dst_node) && self.ensure_shipped(cluster, m)? {
+            if !cluster.node_is_alive(dst_node) {
+                continue;
+            }
+            if self.feed.is_some() {
+                self.install_restored(cluster, m)?;
+            } else if self.ensure_shipped(cluster, m)? {
                 cluster
                     .partition_mut(m.to)?
                     .dataset_mut(self.dataset)?
@@ -1416,8 +1594,9 @@ impl RebalanceJob {
         // Second pass: a source drops its moved bucket (and marks secondary
         // indexes for lazy cleanup) only once the destination serves it —
         // dropping earlier would make a destination-side crash unrecoverable,
-        // since re-shipping needs the source copy.
-        for m in &moves {
+        // since re-shipping needs the source copy. A repaired bucket that
+        // kept its owner has no source to clean up.
+        for m in moves.iter().filter(|m| m.from != m.to) {
             let installed = cluster
                 .partition(m.to)
                 .ok()
@@ -1443,6 +1622,41 @@ impl RebalanceJob {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Installs a repaired bucket on its (alive) destination, once: a bucket
+    /// leaves the degraded set when its restored copy is installed, so the
+    /// re-drive in finalize skips it. A pending copy a crash wiped is loaded
+    /// from the feed again. The restored copy replaces whatever the owner
+    /// held — the empty bucket a re-planned rebalance installed in place of
+    /// the lost one.
+    fn install_restored(&mut self, cluster: &mut Cluster, m: &BucketMove) -> Result<()> {
+        let degraded = cluster
+            .faults
+            .stats
+            .lost_buckets
+            .get(&self.dataset)
+            .is_some_and(|lost| lost.contains(&m.bucket));
+        if !degraded {
+            return Ok(());
+        }
+        let loaded = cluster
+            .partition(m.to)?
+            .dataset(self.dataset)?
+            .primary
+            .pending_has_base_data(&m.bucket);
+        if !loaded {
+            let mut tl = NodeTimeline::new();
+            self.ship_move(cluster, m, &mut tl)?;
+            self.fin_tl.extend(&tl);
+        }
+        let ds = cluster.partition_mut(m.to)?.dataset_mut(self.dataset)?;
+        ds.primary
+            .drop_bucket(m.bucket)
+            .map_err(ClusterError::Storage)?;
+        ds.install_pending(m.bucket)?;
+        cluster.faults.stats.mark_repaired(self.dataset, m.bucket);
         Ok(())
     }
 
@@ -1473,15 +1687,7 @@ impl RebalanceJob {
                 .partition_mut(m.to)?
                 .dataset_mut(self.dataset)?
                 .ensure_pending_bucket(m.bucket)?;
-            let entry = cluster
-                .faults
-                .stats
-                .lost_buckets
-                .entry(self.dataset)
-                .or_default();
-            if !entry.contains(&m.bucket) {
-                entry.push(m.bucket);
-            }
+            cluster.faults.stats.mark_lost(self.dataset, m.bucket);
             return Ok(true);
         }
         // The transfer must have been recorded durable before it can be
@@ -1545,9 +1751,25 @@ impl RebalanceJob {
     }
 }
 
-/// Picks the surviving destination partition with the least planned inbound
-/// bytes (lowest partition id breaks ties) and charges `bytes` to it, so
-/// successive reroutes spread across the survivors deterministically.
+/// Zero loads for every partition of `target` that can take data: its node
+/// is alive and not draining. The candidate set of [`pick_least_loaded`].
+fn placement_loads(cluster: &Cluster, target: &ClusterTopology) -> BTreeMap<PartitionId, u64> {
+    target
+        .partitions()
+        .into_iter()
+        .filter(|p| {
+            target
+                .node_of(*p)
+                .is_some_and(|n| cluster.node_is_alive(n) && !cluster.node_is_draining(n))
+        })
+        .map(|p| (p, 0))
+        .collect()
+}
+
+/// The one least-loaded destination picker, serving repair placement and
+/// `replan_wave` reroutes: picks the candidate partition with the least
+/// load (lowest partition id breaks ties) and charges `bytes` to it, so
+/// successive picks spread across the candidates deterministically.
 fn pick_least_loaded(inbound: &mut BTreeMap<PartitionId, u64>, bytes: u64) -> Option<PartitionId> {
     let p = inbound
         .iter()
@@ -1928,6 +2150,128 @@ mod tests {
         let health = cluster.admin().health();
         assert!(!health.all_healthy());
         assert_eq!(health.degraded_datasets(), vec![ds]);
+    }
+
+    fn value(i: u64) -> Value {
+        Bytes::from(format!("v{i:06}").into_bytes())
+    }
+
+    /// A 4-node DynaHash dataset and the feed that seeded it, for repairs.
+    fn repairable() -> (Cluster, DatasetId, Vec<(Key, Value)>) {
+        let mut cluster = Cluster::new(4);
+        let ds = cluster
+            .create_dataset(DatasetSpec::new(
+                "repairable",
+                Scheme::dynahash(1 << 30, 16),
+            ))
+            .unwrap();
+        let records: Vec<(Key, Value)> = (0..400).map(|i| (Key::from(i), value(i))).collect();
+        cluster.admin().ingest(ds, records.clone()).unwrap();
+        (cluster, ds, records)
+    }
+
+    #[test]
+    fn direct_loss_degrades_then_repair_restores() {
+        let (mut cluster, ds, records) = repairable();
+        let victim = cluster.topology().nodes()[1];
+        cluster.lose_node(victim).unwrap();
+        let degraded = cluster.fault_stats().degraded_buckets(ds);
+        assert!(!degraded.is_empty(), "losing a data node degrades buckets");
+
+        // Reads and writes on a lost bucket get the typed error.
+        let mut session = cluster.session(ds).unwrap();
+        let lost_key = records
+            .iter()
+            .map(|(k, _)| k.clone())
+            .find(|k| cluster.lost_bucket_of(ds, k).is_some())
+            .expect("some key routes to a lost bucket");
+        assert!(matches!(
+            session.get(&cluster, &lost_key),
+            Err(ClusterError::BucketDegraded { .. })
+        ));
+        assert!(matches!(
+            session.put(&mut cluster, lost_key.clone(), value(9999)),
+            Err(ClusterError::BucketDegraded { .. })
+        ));
+
+        let report = cluster
+            .admin()
+            .repair_dataset(ds, &records)
+            .unwrap()
+            .unwrap();
+        assert_eq!(report.outcome, RebalanceOutcome::Committed);
+        assert_eq!(report.buckets_moved, degraded.len());
+        assert!(report.records_moved > 0);
+        assert!(cluster.fault_stats().degraded_datasets().is_empty());
+        assert_eq!(
+            cluster.fault_stats().repaired_buckets,
+            degraded.len() as u64
+        );
+
+        // Every record — lost-bucket ones included — reads back, and once
+        // the dead node is removed the cluster is globally consistent.
+        let mut session = cluster.session(ds).unwrap();
+        for (k, v) in &records {
+            assert_eq!(session.get(&cluster, k).unwrap().as_ref(), Some(v));
+        }
+        cluster.remove_lost_node(victim).unwrap();
+        cluster
+            .check_rebalance_integrity(ds, report.rebalance_id)
+            .unwrap();
+    }
+
+    #[test]
+    fn double_repair_is_a_noop() {
+        let (mut cluster, ds, records) = repairable();
+        let victim = cluster.topology().nodes()[2];
+        cluster.lose_node(victim).unwrap();
+        let first = cluster.admin().repair_dataset(ds, &records).unwrap();
+        assert!(first.is_some());
+        let wal_len = cluster.controller.metadata_log.len();
+        let repaired = cluster.fault_stats().repaired_buckets;
+        let second = cluster.admin().repair_dataset(ds, &records).unwrap();
+        assert!(second.is_none());
+        // The no-op forces no log records and bumps no counters.
+        assert_eq!(cluster.controller.metadata_log.len(), wal_len);
+        assert_eq!(cluster.fault_stats().repaired_buckets, repaired);
+    }
+
+    #[test]
+    fn repair_reassigns_buckets_owned_by_the_dead_node() {
+        let (mut cluster, ds, records) = repairable();
+        let victim = cluster.topology().nodes()[0];
+        let victim_partitions = cluster.topology().partitions_of_node(victim);
+        cluster.lose_node(victim).unwrap();
+        let degraded = cluster.fault_stats().degraded_buckets(ds);
+        let report = cluster
+            .admin()
+            .repair_dataset(ds, &records)
+            .unwrap()
+            .unwrap();
+        assert_eq!(report.outcome, RebalanceOutcome::Committed);
+        // No repaired bucket may still route to the dead node's partitions.
+        let meta = cluster.controller.dataset(ds).unwrap();
+        let dir = meta.directory.as_ref().unwrap();
+        for b in &degraded {
+            let owner = dir.partition_of_bucket(b).unwrap();
+            assert!(!victim_partitions.contains(&owner));
+        }
+        let mut session = cluster.session(ds).unwrap();
+        for (k, v) in &records {
+            assert_eq!(session.get(&cluster, k).unwrap().as_ref(), Some(v));
+        }
+    }
+
+    #[test]
+    fn repair_noop_when_nothing_lost() {
+        let (mut cluster, ds, records) = repairable();
+        let wal_len = cluster.controller.metadata_log.len();
+        assert!(cluster
+            .admin()
+            .repair_dataset(ds, &records)
+            .unwrap()
+            .is_none());
+        assert_eq!(cluster.controller.metadata_log.len(), wal_len);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! * query execution primitives with a per-node cost model ([`query`]);
 //! * the step-driven rebalance executor — the resumable
 //!   [`job::RebalanceJob`] state machine implementing the paper's
-//!   three-phase, two-phase-commit protocol wave by wave ([`job`]) — plus
-//!   the one-shot driver loop over it and the global rebalancing baseline
-//!   ([`rebalance`]);
+//!   three-phase, two-phase-commit protocol wave by wave, with
+//!   [`job::RebalanceJob::drive_to_completion`] as the one completion path
+//!   ([`job`]) — plus the one-shot driver loop over it and the global
+//!   rebalancing baseline ([`rebalance`]);
 //! * fault injection and recovery for the six failure cases ([`recovery`]),
 //!   plus the deterministic fault plane — seeded, replayable
 //!   [`fault::FaultSchedule`]s of transient ship failures, slow nodes, and
@@ -29,9 +30,10 @@
 //!   node's moves to survivors ([`fault`]);
 //! * the recovery plane — speculative re-execution of straggling transfers
 //!   under a [`dynahash_core::SpeculationPolicy`] (the wave takes the first
-//!   finisher), and [`repair::RepairJob`]s that restore a degraded dataset's
-//!   lost buckets from an operator-supplied feed under the same 2PC
-//!   machinery ([`repair`]);
+//!   finisher), and degraded-dataset repair: a
+//!   [`job::RebalanceJob::plan_repair`] job is the same rebalance with the
+//!   lost buckets loaded from an operator-supplied feed instead of shipped
+//!   from a source partition ([`cluster::Admin::repair_dataset`]);
 //! * the hardware cost model and simulated-time accounting ([`sim`]).
 
 pub mod cluster;
@@ -46,7 +48,6 @@ pub mod partition;
 pub mod query;
 pub mod rebalance;
 pub mod recovery;
-pub mod repair;
 pub mod session;
 pub mod sim;
 
@@ -65,7 +66,6 @@ pub use partition::{Partition, PartitionDataset, SecondaryState};
 pub use query::{QueryExecutor, QueryReport};
 pub use rebalance::{PhaseTimes, RebalanceOptions, RebalanceReport, StepHook};
 pub use recovery::RecoveryReport;
-pub use repair::{RepairJob, RepairReport, RepairState};
 pub use session::{RouteError, Session, SessionMetrics};
 pub use sim::{CostModel, NodeTimeline, SimDuration, WaveClock};
 
@@ -94,7 +94,8 @@ pub enum ClusterError {
     /// prepare/commit window (Section V-C).
     DatasetWriteBlocked(DsId),
     /// The key routes to a bucket whose only copy died with a lost node: the
-    /// dataset serves degraded until a [`repair`] job restores the bucket.
+    /// dataset serves degraded until a repair
+    /// ([`job::RebalanceJob::plan_repair`]) restores the bucket.
     /// A typed result — not silently-empty data — so clients and invariant
     /// checkers can tell "lost" from "absent".
     BucketDegraded {

@@ -6,7 +6,9 @@
 //! job, runs its waves (applying any scenario-supplied concurrent writes
 //! between them), collects votes, decides, and finalizes — firing the
 //! scenario's [`StepHook`]s at every boundary and re-expressing the six
-//! failure cases of Section V-D as crashes injected *between* job steps. For
+//! failure cases of Section V-D as crashes injected *between* job steps.
+//! It is the one driver that steps the job by hand; every other driver
+//! finishes its job with [`RebalanceJob::drive_to_completion`]. For
 //! the Hashing baseline it performs AsterixDB's original global rebalancing:
 //! a brand-new hash-partitioned copy of the dataset is built on the target
 //! partitions and swapped in, which moves nearly every record.
@@ -22,7 +24,7 @@ use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
 use crate::cluster::Cluster;
 use crate::dataset::DatasetId;
 use crate::feed::split_into_batches;
-use crate::job::{JobState, RebalanceJob, StepPoint};
+use crate::job::{RebalanceJob, StepPoint};
 use crate::sim::{NodeTimeline, SimDuration};
 use crate::{ClusterError, Result};
 
@@ -232,27 +234,13 @@ impl Cluster {
         let mut job = RebalanceJob::plan(self, dataset, target, max_concurrent_moves)?;
         job.set_move_policy(move_policy);
         job.set_secondary_rebuild(secondary_rebuild);
-        match self.drive_job(&mut job, concurrent_writes, failure, &mut hooks) {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                // Best-effort cleanup so a failed scenario hook does not
-                // leave the dataset with splits disabled or buckets pending.
-                // Before the decision the job can still abort; once COMMIT
-                // is durable the only way forward is to finish the commit.
-                if !job.is_terminal() {
-                    if job.outcome() == Some(RebalanceOutcome::Committed) {
-                        if matches!(job.state(), JobState::Decided(_)) {
-                            let _ = job.commit(self);
-                        }
-                        let _ = job.finalize(self);
-                    } else {
-                        let _ = job.abort(self);
-                        let _ = job.finalize(self);
-                    }
-                }
-                Err(e)
-            }
+        let result = self.drive_job(&mut job, concurrent_writes, failure, &mut hooks);
+        if result.is_err() {
+            // A failed scenario hook must not leave the dataset with splits
+            // disabled or buckets pending.
+            job.settle(self);
         }
+        result
     }
 
     fn drive_job(
@@ -328,17 +316,10 @@ impl Cluster {
 
         // Failure Case 3: the CC dies before forcing COMMIT. On recovery it
         // sees BEGIN without COMMIT and aborts.
-        let force_abort = if matches!(failure, Some(FailurePoint::CcBeforeCommitLog)) {
-            self.controller.crash();
-            self.controller.recover();
-            let status = self
-                .controller
-                .metadata_log
-                .rebalance_status(job.rebalance_id());
+        let force_abort = failure == Some(FailurePoint::CcBeforeCommitLog) && {
+            let status = self.restart_cc(job.rebalance_id());
             debug_assert_eq!(status, RebalanceLogStatus::InFlight);
             status != RebalanceLogStatus::CommittedNotDone && status != RebalanceLogStatus::Done
-        } else {
-            false
         };
 
         let outcome = if force_abort {
@@ -360,13 +341,8 @@ impl Cluster {
             // Failure Case 5: the CC dies after COMMIT but before DONE. On
             // recovery it re-drives the (idempotent) commit tasks — which
             // finalize does for every recovered node anyway.
-            if matches!(failure, Some(FailurePoint::CcAfterCommitBeforeDone)) {
-                self.controller.crash();
-                self.controller.recover();
-                let status = self
-                    .controller
-                    .metadata_log
-                    .rebalance_status(job.rebalance_id());
+            if failure == Some(FailurePoint::CcAfterCommitBeforeDone) {
+                let status = self.restart_cc(job.rebalance_id());
                 debug_assert_eq!(status, RebalanceLogStatus::CommittedNotDone);
             }
         }
@@ -375,16 +351,19 @@ impl Cluster {
         let report = job.finalize(self)?;
 
         // Failure Case 6: the CC dies after DONE — nothing to do.
-        if matches!(failure, Some(FailurePoint::CcAfterDone)) {
-            self.controller.crash();
-            self.controller.recover();
-            let status = self
-                .controller
-                .metadata_log
-                .rebalance_status(job.rebalance_id());
+        if failure == Some(FailurePoint::CcAfterDone) {
+            let status = self.restart_cc(job.rebalance_id());
             debug_assert_eq!(status, RebalanceLogStatus::Done);
         }
         Ok(report)
+    }
+
+    /// Crashes and recovers the Cluster Controller, returning the status
+    /// its recovery reads for the rebalance from the metadata log.
+    fn restart_cc(&mut self, rebalance: RebalanceId) -> RebalanceLogStatus {
+        self.controller.crash();
+        self.controller.recover();
+        self.controller.metadata_log.rebalance_status(rebalance)
     }
 
     // ================================================= Hashing (global) ====
@@ -457,6 +436,27 @@ impl Cluster {
             tl.charge(*node, cost.network(*bytes));
         }
 
+        // The whole rebuild is one data-movement phase.
+        let report = |tl: &NodeTimeline, outcome, bytes_moved, records_moved, moved_fraction| {
+            RebalanceReport {
+                rebalance_id,
+                outcome,
+                elapsed: tl.elapsed(),
+                phases: PhaseTimes {
+                    data_movement: tl.elapsed(),
+                    ..Default::default()
+                },
+                bytes_moved,
+                records_moved,
+                buckets_moved: 0,
+                moved_fraction,
+                per_node: tl.breakdown(),
+                concurrent_writes_applied: 0,
+                retries: 0,
+                reroutes: 0,
+            }
+        };
+
         // Injected failure: discard the half-built copy and abort; the
         // original dataset is left unchanged.
         if options.failure.is_some() {
@@ -470,23 +470,7 @@ impl Cluster {
                 .append_forced(LogRecordBody::RebalanceDone {
                     rebalance: rebalance_id,
                 });
-            return Ok(RebalanceReport {
-                rebalance_id,
-                outcome: RebalanceOutcome::Aborted,
-                elapsed: tl.elapsed(),
-                phases: PhaseTimes {
-                    data_movement: tl.elapsed(),
-                    ..Default::default()
-                },
-                bytes_moved: 0,
-                records_moved: 0,
-                buckets_moved: 0,
-                moved_fraction: 0.0,
-                per_node: tl.breakdown(),
-                concurrent_writes_applied: 0,
-                retries: 0,
-                reroutes: 0,
-            });
+            return Ok(report(&tl, RebalanceOutcome::Aborted, 0, 0, 0.0));
         }
 
         // Drop the old storage and build the new hash-partitioned dataset.
@@ -542,27 +526,18 @@ impl Cluster {
                 rebalance: rebalance_id,
             });
 
-        Ok(RebalanceReport {
-            rebalance_id,
-            outcome: RebalanceOutcome::Committed,
-            elapsed: tl.elapsed(),
-            phases: PhaseTimes {
-                data_movement: tl.elapsed(),
-                ..Default::default()
-            },
+        let moved_fraction = if total_bytes == 0 {
+            0.0
+        } else {
+            (bytes_moved as f64 / total_bytes as f64).min(1.0)
+        };
+        Ok(report(
+            &tl,
+            RebalanceOutcome::Committed,
             bytes_moved,
             records_moved,
-            buckets_moved: 0,
-            moved_fraction: if total_bytes == 0 {
-                0.0
-            } else {
-                (bytes_moved as f64 / total_bytes as f64).min(1.0)
-            },
-            per_node: tl.breakdown(),
-            concurrent_writes_applied: 0,
-            retries: 0,
-            reroutes: 0,
-        })
+            moved_fraction,
+        ))
     }
 }
 

@@ -84,10 +84,7 @@ impl Cluster {
             }
         }
         for (dataset, bucket) in newly_lost {
-            let lost = self.faults.stats.lost_buckets.entry(dataset).or_default();
-            if !lost.contains(&bucket) {
-                lost.push(bucket);
-            }
+            self.faults.stats.mark_lost(dataset, bucket);
         }
         Ok(())
     }

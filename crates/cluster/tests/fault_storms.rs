@@ -15,8 +15,7 @@
 
 use dynahash_cluster::{
     Cluster, ClusterConfig, ClusterError, CostModel, DatasetId, DatasetSpec, FaultSchedule,
-    RebalanceJob, RebalanceOptions, RebalanceReport, RepairJob, SpeculationPolicy, StepPoint,
-    WaveFault,
+    RebalanceJob, RebalanceOptions, RebalanceReport, SpeculationPolicy, StepPoint, WaveFault,
 };
 use dynahash_core::{NodeId, RebalanceOutcome, Scheme};
 use dynahash_lsm::entry::Key;
@@ -342,17 +341,20 @@ fn established_node_loss_mid_rebalance_degrades_reads_until_repair_is_done_once(
     assert_eq!(served + degraded_reads, 1500);
 
     let feed: Vec<(Key, Bytes)> = (0..1500).map(record).collect();
-    let first = cluster.admin().repair_dataset(ds, &feed).unwrap();
+    let first = cluster
+        .admin()
+        .repair_dataset(ds, &feed)
+        .unwrap()
+        .expect("a degraded dataset is repaired");
     assert_eq!(first.outcome, RebalanceOutcome::Committed);
-    assert_eq!(first.buckets, degraded);
+    assert_eq!(first.buckets_moved, degraded.len());
     assert!(cluster.fault_stats().degraded_buckets(ds).is_empty());
 
     // Idempotence: repairing a healthy dataset forces no log records,
     // restores nothing, and bumps no counters.
     let wal_len = cluster.controller.metadata_log.len();
     let second = cluster.admin().repair_dataset(ds, &feed).unwrap();
-    assert!(second.is_noop());
-    assert_eq!(second.records_restored, 0);
+    assert!(second.is_none());
     assert_eq!(cluster.controller.metadata_log.len(), wal_len);
     assert_eq!(
         cluster.fault_stats().repaired_buckets,
@@ -373,36 +375,68 @@ fn losing_a_second_node_mid_repair_replans_and_still_restores_everything() {
     assert!(initially_degraded > 0);
     let feed: Vec<(Key, Bytes)> = (0..1500).map(record).collect();
 
-    let mut job = RepairJob::plan(&mut cluster, ds).unwrap();
+    let mut job = RebalanceJob::plan_repair(&mut cluster, ds, feed).unwrap();
+    job.init(&mut cluster).unwrap();
     // A survivor that the plan repaired onto dies mid-repair, taking its
-    // freshly loaded pending copies *and* its own resident buckets with it.
+    // own resident buckets with it.
     cluster.lose_node(nodes[1]).unwrap();
-    match job.load(&mut cluster, &feed) {
+    match job.run_wave(&mut cluster) {
         Err(ClusterError::NodeLost(n)) => assert_eq!(n, nodes[1]),
-        other => panic!("load must fail typed on a lost owner, got {other:?}"),
+        other => panic!("the wave must fail typed on a lost owner, got {other:?}"),
     }
-    let moved = job.replan(&mut cluster).unwrap();
-    assert!(moved > 0, "the replan must reassign dead owners");
-    job.load(&mut cluster, &feed).unwrap();
-    let scope = job.scope().len();
+    let replan = job.replan_wave(&mut cluster).unwrap();
+    assert_eq!(replan.lost_nodes, vec![nodes[1]]);
+    assert!(replan.rerouted > 0, "the replan must reassign dead owners");
+    assert_eq!(replan.lost_buckets, 0, "a repair loads from its feed");
+    let scope = job.plan_ref().num_moves();
     assert!(
         scope > initially_degraded,
         "the second node's resident buckets join the repair scope"
     );
-    job.prepare(&mut cluster).unwrap();
-    assert_eq!(
-        job.decide(&mut cluster).unwrap(),
-        RebalanceOutcome::Committed
-    );
-    job.commit(&mut cluster).unwrap();
-    let report = job.finalize(&mut cluster).unwrap();
+    let report = job.drive_to_completion(&mut cluster).unwrap();
     assert_eq!(report.outcome, RebalanceOutcome::Committed);
-    assert_eq!(report.replans, 1);
-    assert_eq!(report.buckets.len(), scope);
+    assert!(report.reroutes > 0);
+    assert_eq!(report.buckets_moved, scope);
     assert!(cluster.fault_stats().degraded_buckets(ds).is_empty());
 
     assert_all_records_served(&cluster, ds, 1500);
     cluster.remove_lost_node(nodes[0]).unwrap();
     cluster.remove_lost_node(nodes[1]).unwrap();
     cluster.check_dataset_consistency(ds).unwrap();
+}
+
+#[test]
+fn repair_owner_crash_after_the_commit_decision_is_redriven_by_finalize() {
+    // An owner that crashes once COMMIT is durable loses its loaded pending
+    // copies. The commit tasks skip it; finalize recovers it and installs
+    // its buckets from the feed again, so nothing stays stale.
+    let (mut cluster, ds) = loaded(4, 1500);
+    let victim = cluster.topology().nodes()[0];
+    cluster.lose_node(victim).unwrap();
+    let feed: Vec<(Key, Bytes)> = (0..1500).map(record).collect();
+    let mut job = RebalanceJob::plan_repair(&mut cluster, ds, feed).unwrap();
+    let owner = cluster
+        .node_of_partition(job.plan_ref().moves[0].to)
+        .unwrap();
+    job.init(&mut cluster).unwrap();
+    while job.has_remaining_waves() {
+        job.run_wave(&mut cluster).unwrap();
+    }
+    job.prepare(&mut cluster).unwrap();
+    assert_eq!(
+        job.decide(&mut cluster).unwrap(),
+        RebalanceOutcome::Committed
+    );
+    cluster.crash_node(owner).unwrap();
+    job.commit(&mut cluster).unwrap();
+    let report = job.finalize(&mut cluster).unwrap();
+    assert_eq!(report.outcome, RebalanceOutcome::Committed);
+    assert!(cluster.fault_stats().degraded_buckets(ds).is_empty());
+
+    assert_all_records_served(&cluster, ds, 1500);
+    cluster.remove_lost_node(victim).unwrap();
+    cluster.check_dataset_consistency(ds).unwrap();
+    cluster
+        .check_rebalance_integrity(ds, report.rebalance_id)
+        .unwrap();
 }

@@ -56,6 +56,18 @@ pub fn check_root(root: &Path) -> std::io::Result<Report> {
         }
     }
 
+    // Rule paths are workspace-relative; fixture trees are partial
+    // workspaces without a root manifest and are not held to them.
+    let is_workspace = fs::read_to_string(root.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.contains("[workspace]"));
+    if is_workspace {
+        report
+            .findings
+            .extend(rules::missing_configured_paths(|path| {
+                root.join(path).is_file()
+            }));
+    }
+
     lock_uses.sort();
     let lock_manifest = manifest::read_optional(&root.join(LOCK_ORDER_FILE));
     report.findings.extend(manifest::check_lock_order(

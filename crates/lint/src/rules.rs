@@ -287,14 +287,33 @@ pub const TIMING_MODULE: &str = "crates/bench/src/timing.rs";
 
 /// Files where unordered iteration would feed the deterministic wave
 /// scheduler; `HashMap`/`HashSet` are banned there outright.
-pub const ORDERING_SENSITIVE_FILES: [&str; 6] = [
+pub const ORDERING_SENSITIVE_FILES: [&str; 5] = [
     "crates/core/src/plan.rs",
     "crates/core/src/directory.rs",
     "crates/cluster/src/job.rs",
     "crates/cluster/src/fault.rs",
     "crates/cluster/src/control.rs",
-    "crates/cluster/src/repair.rs",
 ];
+
+/// Every configured path whose file is missing from the checked workspace,
+/// as one finding each: a deleted or renamed file must not silently drop
+/// out of its rule. `exists` answers for a root-relative path.
+pub fn missing_configured_paths(exists: impl Fn(&str) -> bool) -> Vec<Finding> {
+    std::iter::once(TIMING_MODULE)
+        .chain(ORDERING_SENSITIVE_FILES)
+        .filter(|path| !exists(path))
+        .map(|path| Finding {
+            rule: Rule::Determinism,
+            file: path.to_string(),
+            line: 0,
+            message: format!(
+                "{path} is configured in a dhlint rule but does not exist — \
+                 update the rule's file list"
+            ),
+            waived: false,
+        })
+        .collect()
+}
 
 /// Rule family 4: sim-time determinism. `SystemTime`/`Instant` belong to
 /// `dynahash_bench::timing` alone, and the scheduler-feeding files must use
@@ -460,6 +479,19 @@ mod tests {
         let src = lex("use std::collections::HashMap;\n");
         assert_eq!(determinism("crates/core/src/plan.rs", &src).len(), 1);
         assert!(determinism("crates/core/src/scheme.rs", &src).is_empty());
+    }
+
+    #[test]
+    fn missing_configured_paths_are_reported() {
+        assert!(missing_configured_paths(|_| true).is_empty());
+        let missing = missing_configured_paths(|p| p != ORDERING_SENSITIVE_FILES[2]);
+        assert_eq!(missing.len(), 1);
+        assert_eq!(missing[0].file, ORDERING_SENSITIVE_FILES[2]);
+        assert_eq!(missing[0].rule, Rule::Determinism);
+        assert!(!missing[0].waived);
+        let all = missing_configured_paths(|_| false);
+        assert_eq!(all.len(), ORDERING_SENSITIVE_FILES.len() + 1);
+        assert!(all.iter().any(|f| f.file == TIMING_MODULE));
     }
 
     #[test]

@@ -13,8 +13,10 @@ mod common;
 use std::collections::BTreeSet;
 
 use common::{assert_committed_set, check_seeded_cases, record, test_cluster, CASES};
-use dynahash::cluster::{ControlConfig, ControlDecision, ControlPlane, DatasetSpec};
-use dynahash::core::{MigrationBudget, Scheme};
+use dynahash::cluster::{
+    ControlConfig, ControlDecision, ControlPlane, DatasetSpec, NodeState, RebalanceOptions,
+};
+use dynahash::core::{MigrationBudget, NodeId, Scheme};
 use dynahash::lsm::entry::Key;
 use dynahash::lsm::rng::SplitMix64;
 
@@ -312,4 +314,48 @@ fn auto_job_interrupted_by_node_loss_replans_and_commits() {
         },
         run_loss_mid_wave,
     );
+}
+
+#[test]
+fn armed_plane_never_rebalances_onto_a_draining_node() {
+    // After a scale-in rebalance the departing node's partitions are empty,
+    // so the heat view looks badly imbalanced and the armed plane triggers.
+    // Its auto-planned target must skip the draining node, or the heat it
+    // moves lands there and the decommission fails.
+    let mut cluster = test_cluster(4);
+    cluster.set_heat_tracking(true);
+    let ds = cluster
+        .create_dataset(DatasetSpec::new("events", small_scheme()))
+        .unwrap();
+    let mut session = cluster.session(ds).unwrap();
+    session.ingest(&mut cluster, (0..800).map(record)).unwrap();
+    for i in 0..2000u64 {
+        session.get(&cluster, &Key::from_u64(i % 8)).unwrap();
+    }
+
+    let victim = NodeId(3);
+    let target = cluster.drain_node(victim).unwrap();
+    assert!(cluster
+        .admin()
+        .health()
+        .nodes
+        .contains(&(victim, NodeState::Draining)));
+    cluster
+        .rebalance(ds, &target, RebalanceOptions::none())
+        .unwrap();
+
+    let mut plane = ControlPlane::new(ControlConfig::default());
+    for _ in 0..60 {
+        plane.tick(&mut cluster).unwrap();
+    }
+    plane.drain_job(&mut cluster, 100).unwrap();
+    assert!(
+        plane.status().triggers >= 1,
+        "the plane never triggered, so the test proves nothing"
+    );
+    cluster.decommission_node(victim).unwrap();
+    assert!(!cluster.node_is_draining(victim));
+    cluster.check_dataset_consistency(ds).unwrap();
+    let expected: BTreeSet<u64> = (0..800).collect();
+    assert_committed_set(&mut cluster, ds, &expected, "after the decommission");
 }
