@@ -12,7 +12,7 @@ use dynahash_core::{BucketHeat, ClusterTopology, GlobalDirectory, NodeId, Partit
 use dynahash_lsm::bucket::BucketId;
 use dynahash_lsm::entry::{Key, StorageFootprint, Value};
 use dynahash_lsm::metrics::MetricsSnapshot;
-use dynahash_lsm::wal::{LogRecordBody, RebalanceId, RebalanceLogStatus};
+use dynahash_lsm::wal::{RebalanceId, RebalanceLogStatus};
 
 use crate::control::{HeatCell, HeatReport, JobProgress, PushedUpdate, SessionRegistry};
 use crate::controller::ClusterController;
@@ -376,9 +376,9 @@ impl Cluster {
     // ------------------------------------------------------------ ingestion
 
     /// Ingests a batch of records through a data feed: each record is routed
-    /// with an immutable copy of the routing state taken at feed start,
-    /// appended to the owning node's transaction log, and inserted into the
-    /// primary, primary-key, and secondary indexes.
+    /// with an immutable copy of the routing state taken at feed start and
+    /// inserted into the owning partition's primary, primary-key, and
+    /// secondary indexes.
     ///
     /// Returns an [`IngestReport`] with the simulated elapsed time (the
     /// slowest node bounds the feed, as in the paper's ingestion experiment).
@@ -460,11 +460,6 @@ impl Cluster {
             if !node.is_alive() {
                 return Err(ClusterError::NodeDown(node_id));
             }
-            node.log.append(LogRecordBody::Insert {
-                dataset,
-                key: key.as_slice().to_vec(),
-                value: value.to_vec(),
-            });
             node.partition_mut(partition)?
                 .dataset_mut(dataset)?
                 .ingest(key, value)?;
@@ -527,10 +522,9 @@ impl Cluster {
 
     /// Inserts one record through the routed write path — the slim
     /// single-record form of [`Cluster::ingest`] backing
-    /// [`crate::session::Session::put`]: WAL append, index maintenance, and
-    /// replication to an already-shipped bucket, without the batch path's
-    /// cluster-wide metrics sweeps (a point write's cost report is discarded
-    /// anyway).
+    /// [`crate::session::Session::put`]: index maintenance and replication
+    /// to an already-shipped bucket, without the batch path's cluster-wide
+    /// metrics sweeps (a point write's cost report is discarded anyway).
     pub(crate) fn put_routed(
         &mut self,
         dataset: DatasetId,
@@ -560,11 +554,6 @@ impl Cluster {
         if !node.is_alive() {
             return Err(ClusterError::NodeDown(node_id));
         }
-        node.log.append(LogRecordBody::Insert {
-            dataset,
-            key: key.as_slice().to_vec(),
-            value: value.to_vec(),
-        });
         node.partition_mut(partition)?
             .dataset_mut(dataset)?
             .ingest(key, value)?;
@@ -581,13 +570,12 @@ impl Cluster {
     }
 
     /// Deletes one record through the routed write path: a tombstone is
-    /// appended to the owning node's log and applied to the primary,
-    /// primary-key, and secondary indexes (the old payload drives the
-    /// secondary extractors, so index scans never return phantom hits for
-    /// deleted records). While a rebalance is mid-flight the tombstone —
-    /// secondary deletions included — is replicated to the destination's
-    /// pending bucket, exactly like an insert. Returns whether the key was
-    /// live.
+    /// applied to the owning partition's primary, primary-key, and secondary
+    /// indexes (the old payload drives the secondary extractors, so index
+    /// scans never return phantom hits for deleted records). While a
+    /// rebalance is mid-flight the tombstone — secondary deletions included
+    /// — is replicated to the destination's pending bucket, exactly like an
+    /// insert. Returns whether the key was live.
     pub(crate) fn delete_routed(
         &mut self,
         dataset: DatasetId,
@@ -616,10 +604,6 @@ impl Cluster {
         if !node.is_alive() {
             return Err(ClusterError::NodeDown(node_id));
         }
-        node.log.append(LogRecordBody::Delete {
-            dataset,
-            key: key.as_slice().to_vec(),
-        });
         let ds = node.partition_mut(partition)?.dataset_mut(dataset)?;
         let old_value = ds.delete(key)?;
         if let Some((bucket, dst_partition, dst_node)) = replica {
@@ -1068,27 +1052,21 @@ impl Admin<'_> {
     }
 
     /// The merged heat snapshot of a dataset: the decayed per-bucket op
-    /// counters (zero while heat tracking is disarmed) joined with current
-    /// storage residency — record counts and resident bytes per bucket —
-    /// aggregated per partition. This is the monitor half of the control
-    /// plane's monitor→decide→act loop, and an operator's view of where a
-    /// dataset's traffic concentrates.
+    /// counters (zero while heat tracking is disarmed) joined with each
+    /// bucket's resident bytes, aggregated per partition. It costs
+    /// O(buckets) and reads no records; exact counts come from
+    /// [`Cluster::dataset_distribution`]. This is the monitor half of the
+    /// control plane's monitor→decide→act loop, and an operator's view of
+    /// where a dataset's traffic concentrates.
     pub fn heat(&self, dataset: DatasetId) -> Result<HeatReport, ClusterError> {
         let ops = self.cluster.heat.ops_snapshot(dataset);
         let mut report = HeatReport::default();
         for (p, buckets) in self.cluster.local_directories(dataset)? {
             let ds = self.cluster.partition(p)?.dataset(dataset)?;
             let sizes: BTreeMap<BucketId, u64> = ds.bucket_sizes().into_iter().collect();
-            let records: BTreeMap<BucketId, u64> = ds
-                .primary
-                .bucket_record_counts()
-                .into_iter()
-                .map(|(b, n)| (b, n as u64))
-                .collect();
             let mut agg = BucketHeat::default();
             for b in buckets {
                 let mut h = ops.get(&b).copied().unwrap_or_default();
-                h.records = records.get(&b).copied().unwrap_or(0);
                 h.resident_bytes = sizes.get(&b).copied().unwrap_or(0);
                 report.per_bucket.entry(b).or_default().absorb(&h);
                 agg.absorb(&h);

@@ -69,7 +69,7 @@ const MAX_PENDING_PUSHES: usize = 8;
 
 /// Per-bucket decayed operation counters for every dataset, armed on the
 /// cluster with [`Cluster::set_heat_tracking`]. Only the op counters live
-/// here; residency (records, bytes) is read from storage when a snapshot is
+/// here; residency (resident bytes) is read from storage when a snapshot is
 /// taken, so the map stays a few words per active bucket.
 #[derive(Debug, Clone, Default)]
 pub struct HeatMap {
@@ -1118,15 +1118,23 @@ impl ControlPlane {
         // Hottest first; bucket id breaks ties deterministically.
         hot.sort_by(|a, b| (b.0, a.1).cmp(&(a.0, b.1)));
         hot.truncate(self.config.max_hot_splits_per_tick);
+        if hot.is_empty() {
+            return Ok(0);
+        }
+        // The owner of every bucket according to the partitions' local
+        // directories (the first partition in topology order wins), built
+        // once and kept current as splits replace parents by children.
+        let mut owners: BTreeMap<BucketId, PartitionId> = BTreeMap::new();
+        for (p, buckets) in cluster.local_directories(dataset)? {
+            for b in buckets {
+                owners.entry(b).or_insert(p);
+            }
+        }
         let mut splits = 0;
         for (ops, bucket) in hot {
-            // The owner according to the partitions' local directories.
-            let owner = cluster
-                .local_directories(dataset)?
-                .into_iter()
-                .find(|(_, buckets)| buckets.contains(&bucket))
-                .map(|(p, _)| p);
-            let Some(owner) = owner else { continue };
+            let Some(&owner) = owners.get(&bucket) else {
+                continue;
+            };
             let split = cluster
                 .partition_mut(owner)?
                 .dataset_mut(dataset)?
@@ -1134,6 +1142,9 @@ impl ControlPlane {
                 .split_bucket(bucket);
             match split {
                 Ok((lo, hi)) => {
+                    owners.remove(&bucket);
+                    owners.insert(lo, owner);
+                    owners.insert(hi, owner);
                     cluster.on_heat_split(dataset, bucket, lo, hi);
                     splits += 1;
                     self.hot_splits += 1;
@@ -1175,7 +1186,12 @@ impl ControlPlane {
             if cluster.heat_tracking_enabled() {
                 self.split_hot_buckets(cluster, dataset, report)?;
             }
-            let heat = cluster.admin().heat(dataset)?;
+            // Never plan heat onto a node being scaled in, and never let its
+            // emptying partitions drive the imbalance either.
+            let target = cluster.placement_target();
+            let mut heat = cluster.admin().heat(dataset)?;
+            heat.per_partition
+                .retain(|p, _| target.node_of(*p).is_some());
             let imbalance = heat.imbalance(self.config.op_weight_bytes);
             if imbalance <= self.config.imbalance_threshold {
                 self.streaks.insert(dataset, 0);
@@ -1219,8 +1235,6 @@ impl ControlPlane {
                 continue;
             }
             let loads = heat.bucket_loads(self.config.op_weight_bytes);
-            // Never plan heat back onto a node being scaled in.
-            let target = cluster.placement_target();
             let cap = self
                 .config
                 .max_concurrent_moves
@@ -1357,11 +1371,17 @@ mod tests {
         }
         let report = cluster.admin().heat(ds).unwrap();
         assert_eq!(report.per_partition.len(), 4);
-        let total_records: u64 = report.per_partition.values().map(|h| h.records).sum();
-        assert_eq!(total_records, 400);
         let total_reads: u64 = report.per_bucket.values().map(|h| h.reads).sum();
         assert_eq!(total_reads, 100);
+        let partition_reads: u64 = report.per_partition.values().map(|h| h.reads).sum();
+        assert_eq!(partition_reads, 100);
         assert!(report.per_bucket.values().all(|h| h.resident_bytes > 0));
+        // Each partition's residency is exactly its buckets' logical sizes.
+        for (p, h) in &report.per_partition {
+            let sizes = cluster.partition(*p).unwrap().dataset(ds).unwrap();
+            let bytes: u64 = sizes.bucket_sizes().iter().map(|(_, b)| b).sum();
+            assert_eq!(h.resident_bytes, bytes);
+        }
         // four hot keys on 32 uniform buckets: the op-weighted imbalance
         // must dwarf the byte-only imbalance
         assert!(report.imbalance(10_000) > report.imbalance(0));
@@ -1537,6 +1557,36 @@ mod tests {
             unsubscribed.metrics().redirects,
             1,
             "the unsubscribed session still pays the pull-based redirect"
+        );
+    }
+
+    fn query_bytes_read(cluster: &Cluster) -> u64 {
+        let partitions = cluster.topology().partitions();
+        partitions
+            .into_iter()
+            .map(|p| {
+                let part = cluster.partition(p).unwrap();
+                part.metrics().snapshot().bytes_query_read
+            })
+            .sum()
+    }
+
+    #[test]
+    fn idle_tick_and_heat_report_read_no_records() {
+        let (mut cluster, ds) = loaded(2, 2000);
+        cluster.set_heat_tracking(true);
+        let mut plane = ControlPlane::new(ControlConfig::default());
+        let before = query_bytes_read(&cluster);
+        for _ in 0..3 {
+            let report = plane.tick(&mut cluster).unwrap();
+            assert!(report.decisions.is_empty(), "{:?}", report.decisions);
+        }
+        let heat = cluster.admin().heat(ds).unwrap();
+        assert_eq!(heat.per_partition.len(), 4);
+        assert_eq!(
+            query_bytes_read(&cluster),
+            before,
+            "monitoring must not charge query reads"
         );
     }
 

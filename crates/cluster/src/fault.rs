@@ -94,7 +94,7 @@ impl SaturatingShl for u64 {
 /// A fault scheduled to fire after a specific rebalance wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaveFault {
-    /// Crash the node (it recovers: WAL replay, pending copies dropped).
+    /// Crash the node (it recovers with its data; pending copies dropped).
     Crash(NodeId),
     /// Permanently lose the node: it never comes back, and
     /// [`RebalanceJob::replan_wave`](crate::job::RebalanceJob::replan_wave)
@@ -289,7 +289,7 @@ impl FaultStats {
 pub enum NodeState {
     /// Serving normally.
     Alive,
-    /// Crashed; recoverable via WAL replay.
+    /// Crashed; recoverable with its data intact.
     Crashed,
     /// Permanently lost; never returns.
     Lost,

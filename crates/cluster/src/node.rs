@@ -1,15 +1,12 @@
 //! Node Controllers.
 //!
-//! A Node Controller (NC) hosts several storage partitions, executes the data
-//! processing tasks the Cluster Controller dispatches to it, and keeps a
-//! transaction log for durability and for replicating concurrent writes
-//! during a rebalance. Nodes can be killed and recovered by the
-//! fault-injection tests.
+//! A Node Controller (NC) hosts several storage partitions and executes the
+//! data processing tasks the Cluster Controller dispatches to it. Nodes can
+//! be killed and recovered by the fault-injection tests.
 
 use std::collections::BTreeMap;
 
 use dynahash_core::{NodeId, PartitionId};
-use dynahash_lsm::wal::TransactionLog;
 
 use crate::fault::NodeState;
 use crate::partition::Partition;
@@ -20,8 +17,6 @@ pub struct NodeController {
     /// The node id.
     pub id: NodeId,
     partitions: BTreeMap<PartitionId, Partition>,
-    /// The node's transaction log (data log records + replication source).
-    pub log: TransactionLog,
     alive: bool,
     lost: bool,
 }
@@ -46,7 +41,6 @@ impl NodeController {
                 .into_iter()
                 .map(|p| (p, Partition::new(p)))
                 .collect(),
-            log: TransactionLog::new(),
             alive: true,
             lost: false,
         }
@@ -97,18 +91,16 @@ impl NodeController {
         }
     }
 
-    /// Simulates a crash: the node stops responding and its non-durable log
-    /// records are lost. Data in "disk" components survives (it is durable by
-    /// construction); in-memory components survive too because AsterixDB
-    /// replays the durable log on recovery — the simulation keeps them
-    /// directly rather than replaying. Pending rebalance state does **not**
+    /// Simulates a crash: the node stops responding. Data in "disk"
+    /// components survives (it is durable by construction); in-memory
+    /// components survive too, standing in for AsterixDB's log replay on
+    /// recovery. Pending rebalance state does **not**
     /// survive: the metadata registering an in-flight transfer is only
     /// forced by the rebalance commit, so restart recovery discards the
     /// orphan received components and the rebalance executor re-ships them
     /// from the moves recorded in the CC's metadata log.
     pub fn crash(&mut self) {
         self.alive = false;
-        self.log.crash();
         for p in self.partitions.values_mut() {
             p.drop_all_pending();
         }
@@ -144,7 +136,10 @@ impl NodeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynahash_lsm::wal::LogRecordBody;
+    use crate::dataset::DatasetSpec;
+    use dynahash_core::{BucketId, Scheme};
+    use dynahash_lsm::entry::Key;
+    use dynahash_lsm::Bytes;
 
     #[test]
     fn node_hosts_its_partitions() {
@@ -156,23 +151,31 @@ mod tests {
     }
 
     #[test]
-    fn crash_loses_unforced_log_records_and_recovery_restores_service() {
-        let mut n = NodeController::new(NodeId(0), vec![PartitionId(0)]);
-        n.log.append_forced(LogRecordBody::Insert {
-            dataset: 1,
-            key: vec![1],
-            value: vec![1],
-        });
-        n.log.append(LogRecordBody::Insert {
-            dataset: 1,
-            key: vec![2],
-            value: vec![2],
-        });
-        assert_eq!(n.log.len(), 2);
+    fn crash_drops_pending_buckets_and_recovery_restores_service() {
+        let (p, ds) = (PartitionId(0), 1);
+        let mut n = NodeController::new(NodeId(0), vec![p]);
+        let (owned, moving) = (BucketId::new(0, 1), BucketId::new(1, 1));
+        let spec = DatasetSpec::new("events", Scheme::StaticHash { num_buckets: 2 });
+        n.partition_mut(p)
+            .unwrap()
+            .create_dataset(ds, &spec, vec![owned]);
+        let data = n.partition_mut(p).unwrap().dataset_mut(ds).unwrap();
+        let key = (0..)
+            .map(Key::from_u64)
+            .find(|k| owned.contains_key(k))
+            .unwrap();
+        data.ingest(key.clone(), Bytes::from(vec![7])).unwrap();
+        data.create_pending_bucket(moving).unwrap();
         n.crash();
         assert!(!n.is_alive());
-        assert_eq!(n.log.len(), 1, "unforced record lost in the crash");
+        let data = n.partition(p).unwrap().dataset(ds).unwrap();
+        assert!(
+            !data.primary.has_pending_bucket(&moving),
+            "uncommitted pending state dropped in the crash"
+        );
         n.recover();
         assert!(n.is_alive());
+        let data = n.partition(p).unwrap().dataset(ds).unwrap();
+        assert_eq!(data.get(&key), Some(Bytes::from(vec![7])));
     }
 }

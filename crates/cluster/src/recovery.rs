@@ -26,7 +26,7 @@ pub struct RecoveryReport {
 }
 
 impl Cluster {
-    /// Crashes a node (its unforced log records are lost; it stops serving).
+    /// Crashes a node (its pending rebalance state is lost; it stops serving).
     pub fn crash_node(&mut self, node: NodeId) -> Result<()> {
         self.node_mut(node)?.crash();
         Ok(())

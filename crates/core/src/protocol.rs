@@ -25,9 +25,9 @@ pub enum RebalancePhase {
     /// plan, and the NCs are flushing the moving buckets' memory components.
     Initialization,
     /// Buckets are being scanned, shipped, and loaded; concurrent writes are
-    /// replicated as log records.
+    /// replicated to the destinations' pending buckets.
     DataMovement,
-    /// The CC is waiting for every NC to finish log replication and flush the
+    /// The CC is waiting for every NC to finish replication and flush the
     /// rebalance memory components (the "prepare" half of 2PC). Reads and
     /// writes on the dataset are briefly blocked.
     Prepare,
@@ -361,17 +361,15 @@ impl RebalanceCoordinator {
 /// tracked by the cluster's heat map and reported to the control plane.
 ///
 /// `reads`/`writes` are exponentially decayed operation counters fed from
-/// the session data paths; `records` and `resident_bytes` are refreshed
-/// from storage reporting when a heat snapshot is taken, so a snapshot
-/// always reflects current residency even though the op counters decay.
+/// the session data paths; `resident_bytes` is refreshed from storage
+/// reporting when a heat snapshot is taken, so a snapshot always reflects
+/// current residency even though the op counters decay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BucketHeat {
     /// Decayed point-read operations that touched the bucket.
     pub reads: u64,
     /// Decayed write operations (inserts and deletes) that hit the bucket.
     pub writes: u64,
-    /// Live records resident in the bucket at snapshot time.
-    pub records: u64,
     /// Logical bytes resident in the bucket at snapshot time.
     pub resident_bytes: u64,
 }
@@ -393,7 +391,6 @@ impl BucketHeat {
     pub fn absorb(&mut self, other: &BucketHeat) {
         self.reads += other.reads;
         self.writes += other.writes;
-        self.records += other.records;
         self.resident_bytes += other.resident_bytes;
     }
 }
@@ -573,12 +570,11 @@ mod tests {
         let mut h = BucketHeat {
             reads: 8,
             writes: 5,
-            records: 10,
             resident_bytes: 100,
         };
         h.decay();
         assert_eq!((h.reads, h.writes), (4, 2));
-        assert_eq!((h.records, h.resident_bytes), (10, 100), "decay is op-only");
+        assert_eq!(h.resident_bytes, 100, "decay is op-only");
         let mut total = BucketHeat::default();
         total.absorb(&h);
         total.absorb(&h);

@@ -7,8 +7,8 @@
 //!
 //! The type also implements the destination-side machinery of the rebalance
 //! data-movement phase: *pending* (received) buckets hold bulk-loaded
-//! components plus replicated log records and stay invisible to queries until
-//! the rebalance commits.
+//! components plus replicated concurrent writes and stay invisible to
+//! queries until the rebalance commits.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -210,15 +210,6 @@ impl BucketedLsmTree {
         self.buckets
             .iter()
             .map(|(b, t)| (*b, t.logical_size_bytes()))
-            .collect()
-    }
-
-    /// Live record count of every visible bucket (the residency half of the
-    /// control plane's heat reports).
-    pub fn bucket_record_counts(&self) -> Vec<(BucketId, usize)> {
-        self.buckets
-            .iter()
-            .map(|(b, t)| (*b, t.live_len()))
             .collect()
     }
 
@@ -444,7 +435,7 @@ impl BucketedLsmTree {
     }
 
     /// Bulk-loads scanned records into a pending bucket as disk components
-    /// that are strictly older than any replicated log records.
+    /// that are strictly older than any replicated writes.
     pub fn load_into_pending(&mut self, bucket: BucketId, entries: Vec<Entry>) -> Result<()> {
         let tree = self
             .pending
@@ -461,7 +452,7 @@ impl BucketedLsmTree {
 
     /// Installs components shipped whole from a source partition into a
     /// pending bucket. The handles are appended as the **oldest** data of the
-    /// pending tree — replicated log records applied afterwards (or already
+    /// pending tree — replicated writes applied afterwards (or already
     /// sitting in the pending memory component) stay newer, exactly as the
     /// record-level `load_into_pending` path orders its bulk-loaded
     /// component. The components keep their internal newest-first order.
@@ -482,7 +473,7 @@ impl BucketedLsmTree {
     }
 
     /// True if the pending bucket holds its base data — shipped or
-    /// bulk-loaded components, as opposed to only replicated log records
+    /// bulk-loaded components, as opposed to only replicated writes
     /// accumulated after a crash wiped the uncommitted transfer. Recovery
     /// re-ships the bucket from its source when this is false.
     pub fn pending_has_base_data(&self, bucket: &BucketId) -> bool {

@@ -197,12 +197,11 @@ impl<'a> LazyMergeIter<'a> {
             self.heads[source] = None;
         }
     }
-}
 
-impl Iterator for LazyMergeIter<'_> {
-    type Item = Entry;
-
-    fn next(&mut self) -> Option<Entry> {
+    /// Advances the merge by one reconciled entry and borrows it from its
+    /// source instead of cloning it — the step [`Iterator::next`] is built
+    /// on, and all a caller that only counts or inspects entries needs.
+    pub(crate) fn next_ref(&mut self) -> Option<(&'a Key, &'a Op)> {
         loop {
             let top = self.heap.pop()?;
             // dhlint: allow(panic) — heap invariant: a popped entry always has a live head
@@ -217,11 +216,19 @@ impl Iterator for LazyMergeIter<'_> {
             if op.is_delete() && !self.include_tombstones {
                 continue;
             }
-            return Some(Entry {
-                key: key.clone(),
-                op: op.clone(),
-            });
+            return Some((key, op));
         }
+    }
+}
+
+impl Iterator for LazyMergeIter<'_> {
+    type Item = Entry;
+
+    fn next(&mut self) -> Option<Entry> {
+        self.next_ref().map(|(key, op)| Entry {
+            key: key.clone(),
+            op: op.clone(),
+        })
     }
 }
 

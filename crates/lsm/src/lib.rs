@@ -13,8 +13,8 @@
 //!   efficient bucket-split of Algorithm 1 based on *reference components*;
 //! * **secondary LSM indexes** ([`secondary::SecondaryIndex`]) that store all
 //!   buckets together (Option 1) and support lazy cleanup of moved buckets;
-//! * a simple **transaction log** ([`wal::TransactionLog`]) whose records can
-//!   be replicated to other partitions during a rebalance.
+//! * a simple **rebalance metadata log** ([`wal::TransactionLog`]) whose
+//!   forced `BEGIN`/`SHIP`/`COMMIT`/`ABORT`/`DONE` records drive recovery.
 //!
 //! Everything is an in-process, deterministic simulation of the disk: "disk
 //! components" live in memory but their sizes are tracked byte-accurately so

@@ -170,9 +170,12 @@ impl LsmTree {
         self.scan(None, None)
     }
 
-    /// Number of live records (reconciled). Linear in the data size.
+    /// Number of live records (reconciled). Linear in the data size, but it
+    /// only counts: no entry is cloned and nothing is charged as a query
+    /// read.
     pub fn live_len(&self) -> usize {
-        self.scan_all().len()
+        let mut merge = self.iter_live(None, None);
+        std::iter::from_fn(|| merge.next_ref()).count()
     }
 
     // ------------------------------------------------------- flush and merge
@@ -433,6 +436,43 @@ mod tests {
         assert!(t.get(&Key::from_u64(3)).is_some());
         let after = t.metrics().snapshot().bytes_query_read;
         assert_eq!(after - before, (8 + 33 + crate::entry::OP_TAG_BYTES) as u64);
+    }
+
+    #[test]
+    fn live_len_counts_without_a_query_read() {
+        let mut t = LsmTree::new(
+            LsmConfig {
+                memtable_budget_bytes: 1 << 20,
+                merge_policy: Arc::new(NoMergePolicy),
+                auto_flush: false,
+                auto_merge: false,
+            },
+            StorageMetrics::new_shared(),
+        );
+        for i in 0..60u64 {
+            t.put(i, val("old"));
+        }
+        t.flush();
+        // Overwrites, fresh keys and tombstones spread over newer layers.
+        for i in 30..90u64 {
+            t.put(i, val("new"));
+        }
+        for i in (0..60u64).step_by(3) {
+            t.delete(i);
+        }
+        t.flush();
+        for i in (1..90u64).step_by(7) {
+            t.delete(i);
+        }
+        t.put(3u64, val("revived"));
+        t.put(200u64, val("mem"));
+        assert_eq!(t.num_components(), 2);
+        assert!(!t.memtable().is_empty());
+        let before = t.metrics().snapshot().bytes_query_read;
+        let counted = t.live_len();
+        assert_eq!(t.metrics().snapshot().bytes_query_read, before);
+        assert_eq!(counted, t.scan_all().len());
+        assert!(t.metrics().snapshot().bytes_query_read > before);
     }
 
     #[test]

@@ -14,7 +14,8 @@ use std::collections::BTreeSet;
 
 use common::{assert_committed_set, check_seeded_cases, record, test_cluster, CASES};
 use dynahash::cluster::{
-    ControlConfig, ControlDecision, ControlPlane, DatasetSpec, NodeState, RebalanceOptions,
+    Cluster, ControlConfig, ControlDecision, ControlPlane, DatasetId, DatasetSpec, NodeState,
+    RebalanceOptions,
 };
 use dynahash::core::{MigrationBudget, NodeId, Scheme};
 use dynahash::lsm::entry::Key;
@@ -316,12 +317,10 @@ fn auto_job_interrupted_by_node_loss_replans_and_commits() {
     );
 }
 
-#[test]
-fn armed_plane_never_rebalances_onto_a_draining_node() {
-    // After a scale-in rebalance the departing node's partitions are empty,
-    // so the heat view looks badly imbalanced and the armed plane triggers.
-    // Its auto-planned target must skip the draining node, or the heat it
-    // moves lands there and the decommission fails.
+/// A 4-node cluster with a hot key range whose node 3 was drained and
+/// scaled in by an operator rebalance; node 3 is still draining (not yet
+/// decommissioned) and its partitions are empty.
+fn drained_cluster() -> (Cluster, DatasetId, NodeId) {
     let mut cluster = test_cluster(4);
     cluster.set_heat_tracking(true);
     let ds = cluster
@@ -343,7 +342,16 @@ fn armed_plane_never_rebalances_onto_a_draining_node() {
     cluster
         .rebalance(ds, &target, RebalanceOptions::none())
         .unwrap();
+    (cluster, ds, victim)
+}
 
+#[test]
+fn armed_plane_never_rebalances_onto_a_draining_node() {
+    // After a scale-in rebalance the departing node's partitions are empty
+    // and the hot keys concentrate heat on the remaining nodes, so the armed
+    // plane triggers. Its auto-planned target must skip the draining node,
+    // or the heat it moves lands there and the decommission fails.
+    let (mut cluster, ds, victim) = drained_cluster();
     let mut plane = ControlPlane::new(ControlConfig::default());
     for _ in 0..60 {
         plane.tick(&mut cluster).unwrap();
@@ -355,6 +363,37 @@ fn armed_plane_never_rebalances_onto_a_draining_node() {
     );
     cluster.decommission_node(victim).unwrap();
     assert!(!cluster.node_is_draining(victim));
+    cluster.check_dataset_consistency(ds).unwrap();
+    let expected: BTreeSet<u64> = (0..800).collect();
+    assert_committed_set(&mut cluster, ds, &expected, "after the decommission");
+}
+
+#[test]
+fn draining_partitions_do_not_drive_the_imbalance() {
+    // Two empty draining partitions out of eight alone put the max-deviation
+    // imbalance at 1.0. The threshold sits well below that but above the
+    // residual, bucket-granular imbalance of the six remaining partitions,
+    // so once the heat has decayed an idle plane must stay quiet.
+    let (mut cluster, ds, victim) = drained_cluster();
+    let mut plane = ControlPlane::new(ControlConfig {
+        imbalance_threshold: 0.3,
+        ..ControlConfig::default()
+    });
+    for _ in 0..60 {
+        plane.tick(&mut cluster).unwrap();
+    }
+    plane.drain_job(&mut cluster, 100).unwrap();
+    for _ in 0..40 {
+        let report = plane.tick(&mut cluster).unwrap();
+        let churn = report.decisions.iter().find(|d| {
+            matches!(
+                d,
+                ControlDecision::Triggered { .. } | ControlDecision::NoImprovement { .. }
+            )
+        });
+        assert!(churn.is_none(), "idle plane re-planned: {churn:?}");
+    }
+    cluster.decommission_node(victim).unwrap();
     cluster.check_dataset_consistency(ds).unwrap();
     let expected: BTreeSet<u64> = (0..800).collect();
     assert_committed_set(&mut cluster, ds, &expected, "after the decommission");
